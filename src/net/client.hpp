@@ -1,8 +1,9 @@
 #pragma once
-// Loopback-grade HTTP/1.1 client for the serving front end: the soak
-// harness's socket mode, the `surro_cli request` command, the e2e tests,
-// and bench/serve_http all drive the server through this instead of
-// shelling out to curl (the container bakes in no HTTP tooling).
+// Loopback-grade HTTP/1.1 client for the serving front end:
+// serve::RemoteShard (and through it the soak harness's socket mode), the
+// `surro_cli request` command, the e2e tests, and the benchmark all drive
+// the server through this instead of shelling out to curl (the library
+// takes no HTTP dependency).
 //
 // Two layers:
 //   * HttpClient — one keep-alive connection: serialize a request, read

@@ -104,12 +104,14 @@ void HttpServer::stop() {
     // drop out of their keep-alive loops.
     for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  // Closing the listener fails the blocking accept() with EBADF/EINVAL,
-  // which the accept loop treats as the stop signal.
+  // Shutting the listener down fails the blocking accept() with EINVAL,
+  // which the accept loop treats as the stop signal. The fd is closed only
+  // after the acceptor is joined: accept_loop() reads listen_fd_, and a
+  // retried accept() on a closed fd could land on a reused fd number.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (acceptor_.joinable()) acceptor_.join();
   pool_.reset();  // joins connection workers (they drain promptly)
   started_ = false;
 }
@@ -128,7 +130,7 @@ void HttpServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // listener closed: stop() was called
+      return;  // listener shut down: stop() was called
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);

@@ -248,10 +248,6 @@ class SampleService : public SampleBackend {
   SampleService(const SampleService&) = delete;
   SampleService& operator=(const SampleService&) = delete;
 
-  /// Kept as a nested alias — call sites predating SampleBackend spell
-  /// this SampleService::Submitted.
-  using Submitted = serve::Submitted;
-
   [[nodiscard]] Submitted submit_job(SampleJob job) override;
   bool cancel(std::uint64_t job_id) override;
   void drain() override;

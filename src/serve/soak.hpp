@@ -8,8 +8,9 @@
 // against an expected hash computed up front by sampling the same
 // (model, rows, seed, chunk_rows) identity directly, so rejections, sheds,
 // and deadline kills interleaved around a job can never change what it
-// returns. Consumed by `surro_cli soak` and bench/serve_soak; the JSON
-// artifact (kind "serve_soak") is what the soak-smoke CI job validates.
+// returns. Consumed by `surro_cli soak`, the repo's one overload harness;
+// the JSON artifact (kind "serve_soak") is what the soak-smoke CI job
+// validates.
 
 #include <cstdint>
 #include <string>
@@ -35,39 +36,24 @@ struct SoakConfig {
   std::size_t seed_streams = 8;
   std::uint64_t seed = 42;        ///< base for job seeds + arrival processes
   double duration_seconds = 2.0;  ///< submission window per sweep point
-  /// Minimum submissions per sweep point (0 = clients × models × 2): at a
-  /// low offered rate the submission window extends past duration_seconds
-  /// — still Poisson-paced at the same rate — until the floor is met, so
-  /// percentiles at every point rest on a real sample, not 2-3 jobs.
-  std::size_t min_jobs_per_point = 0;
   double deadline_ms = 0.0;       ///< per-job deadline (0 = none)
   AdmissionPolicy admission = AdmissionPolicy::kReject;
   std::size_t max_queue_depth = 0;  ///< 0 = clients (a shallow, SLO-friendly queue)
   std::size_t max_queued_rows = 0;  ///< 0 = unbounded
   std::size_t sample_threads = 0;   ///< ServiceConfig::sample_threads
   std::size_t max_batch = 8;
-  /// Jobs per client in the unbounded calibration run that measures
-  /// capacity_jobs_per_sec before the sweep.
-  std::size_t calibration_jobs_per_client = 4;
   bool verbose = false;
 
   /// Drive the sweep over a loopback HTTP socket instead of in-process
   /// submits: run_soak stands up a net::HttpEndpoint (ephemeral port) over
-  /// the bounded service, and every client becomes a net::ApiClient —
-  /// POST /v1/sample for each arrival, then long-poll + paginate the rows
-  /// back and digest them. Calibration and the expected digests stay
-  /// in-process on purpose: the check is that the socket path lands on the
-  /// *same* expected_hash, i.e. the determinism contract and the overload
-  /// SLOs survive the wire (serialization, pagination, reassembly).
+  /// the bounded service, and every client submits through its own
+  /// serve::RemoteShard pointed at it — POST /v1/sample for each arrival,
+  /// then long-poll + paginate the rows back and digest them. Calibration
+  /// and the expected digests stay in-process on purpose: the check is
+  /// that the socket path lands on the *same* expected_hash, i.e. the
+  /// determinism contract and the overload SLOs survive the wire
+  /// (serialization, pagination, reassembly).
   bool over_socket = false;
-  /// HTTP server worker threads in socket mode (0 = clients + 2, enough
-  /// that every client can hold a connection plus slack for stats probes).
-  std::size_t http_workers = 0;
-  /// Page size clients paginate results with (0 = the server's default
-  /// page, which still exercises pagination when rows_per_job exceeds it).
-  std::size_t page_rows = 0;
-  /// Long-poll budget per GET /v1/jobs/{id} while a job is pending.
-  double poll_wait_ms = 250.0;
 
   /// Worker shards for the bounded service under test. 1 = the classic
   /// single SampleService; > 1 stands up a serve::ShardPool (each shard
@@ -97,10 +83,12 @@ struct SoakConfig {
   [[nodiscard]] std::size_t effective_queue_depth() const noexcept {
     return max_queue_depth != 0 ? max_queue_depth : clients;
   }
-  /// The per-point submission floor (resolves 0 = clients × models × 2).
+  /// Minimum submissions per sweep point (clients × models × 2): at a low
+  /// offered rate the submission window extends past duration_seconds —
+  /// still Poisson-paced at the same rate — until the floor is met, so
+  /// percentiles at every point rest on a real sample, not 2-3 jobs.
   [[nodiscard]] std::size_t effective_min_jobs() const noexcept {
-    return min_jobs_per_point != 0 ? min_jobs_per_point
-                                   : clients * models.size() * 2;
+    return clients * models.size() * 2;
   }
 };
 
@@ -163,8 +151,8 @@ struct SoakResult {
 /// Throws std::invalid_argument on an empty model/multiplier list.
 [[nodiscard]] SoakResult run_soak(ModelHost& host, const SoakConfig& cfg);
 
-/// Human-readable sweep table + SLO/determinism summary, shared by
-/// `surro_cli soak` and bench/serve_soak (one format to keep current).
+/// Human-readable sweep table + SLO/determinism summary for
+/// `surro_cli soak`.
 [[nodiscard]] std::string render_soak(const SoakResult& result);
 
 /// The `serve_soak` artifact (schema_version 1, kind "serve_soak").

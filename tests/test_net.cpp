@@ -4,7 +4,8 @@
 // socket path — an HttpEndpoint on an ephemeral loopback port driven by
 // HttpClient/ApiClient, including the headline contract: rows reassembled
 // from paginated pages over the wire hash identically to a local
-// sample_into() of the same (model, rows, seed, chunk_rows) identity.
+// sample_into() of the same (model, rows, seed, chunk_rows) identity — and
+// the soak harness's socket mode, which must land on the same digests.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -27,6 +28,7 @@
 #include "serve/model_host.hpp"
 #include "serve/replay.hpp"
 #include "serve/sample_service.hpp"
+#include "serve/soak.hpp"
 #include "util/json_parse.hpp"
 #include "util/rng.hpp"
 
@@ -764,6 +766,43 @@ TEST(HttpEndpointSocket, KeepAliveServesManyRequestsOnOneConnection) {
   EXPECT_EQ(bad.status, 400);
   EXPECT_GE(endpoint.server.stats().parse_errors, 1u);
   endpoint.server.stop();
+}
+
+// ------------------------------------------------------------------ soak --
+
+// run_soak drives one client loop in every mode; over the socket each
+// client submits through its own RemoteShard. The same seed run in-process,
+// over the socket, and over the socket into a 2-shard pool must agree on
+// the expected digests, and every accepted job must match its digest.
+TEST(SoakOverSocket, InProcessSocketAndShardedRunsAgree) {
+  RestFixture fx;
+  serve::SoakConfig cfg;
+  cfg.models = {"smote"};
+  cfg.load_multipliers = {0.5, 2.0};
+  cfg.clients = 2;
+  cfg.rows_per_job = 300;
+  cfg.duration_seconds = 0.2;
+  cfg.seed = 2024;
+
+  const serve::SoakResult local = serve::run_soak(fx.host, cfg);
+  cfg.over_socket = true;
+  const serve::SoakResult socket = serve::run_soak(fx.host, cfg);
+  cfg.shards = 2;
+  const serve::SoakResult sharded = serve::run_soak(fx.host, cfg);
+
+  for (const serve::SoakResult* run : {&local, &socket, &sharded}) {
+    EXPECT_EQ(run->expected_hash, local.expected_hash);
+    EXPECT_TRUE(run->deterministic);
+    ASSERT_EQ(run->points.size(), 2u);
+    for (const auto& point : run->points) {
+      EXPECT_EQ(point.failed, 0u) << "load " << point.multiplier;
+      EXPECT_GT(point.accepted, 0u) << "load " << point.multiplier;
+    }
+  }
+  EXPECT_EQ(local.http_requests, 0u);
+  EXPECT_GT(socket.http_requests, 0u);
+  EXPECT_GT(sharded.http_requests, 0u);
+  EXPECT_GT(sharded.routed, 0u);
 }
 
 }  // namespace

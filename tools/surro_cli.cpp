@@ -220,8 +220,6 @@ int usage() {
       "               --max-queued-rows R --capacity N --threads T\n"
       "               --chunk-rows C --max-batch B --seed S\n"
       "               --json-out FILE [--verbose] [--over-socket]\n"
-      "               [--http-workers T] [--page-rows N] "
-      "[--poll-wait-ms MS]\n"
       "               [--shards N] [--replicas R] [--shard-ttl-ms MS]\n"
       "               [--remote-shards HOST:PORT,...]\n"
       "  fleet        --workers N --models \"K1=FILE;...\" | "
@@ -950,9 +948,6 @@ int cmd_soak(const Args& args) {
   soak.max_batch = count("max-batch", 8.0);
   soak.verbose = args.flag("verbose");
   soak.over_socket = args.flag("over-socket");
-  soak.http_workers = count("http-workers", 0.0);
-  soak.page_rows = count("page-rows", 0.0);
-  soak.poll_wait_ms = args.num("poll-wait-ms", 250.0);
   soak.shards = std::max<std::size_t>(count("shards", 1.0), 1);
   soak.replicas = std::max<std::size_t>(count("replicas", 1.0), 1);
   soak.shard_ttl_ms = args.num("shard-ttl-ms", 0.0);
