@@ -143,7 +143,7 @@ BENCHMARK(BM_SmoteSampling)->Unit(benchmark::kMillisecond);
 // Sampling throughput (rows/sec) versus worker count, per model — the
 // scaling curve future PRs track when touching the synthesis path. Each
 // model is trained once and shared across its thread-count args; timing
-// covers sample_into only (including any per-worker replica cloning).
+// covers sample_into only; every worker samples the one shared instance.
 // Output is identical across thread counts by contract, so the counters
 // measure pure scheduling gains.
 void BM_SampleThroughput(benchmark::State& state,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "nn/losses.hpp"
@@ -50,15 +49,11 @@ void CtabganPlus::conditions_to_matrix(const std::vector<Condition>& conds,
   }
 }
 
-const linalg::Matrix& CtabganPlus::generator_forward(
-    const linalg::Matrix& z_cond, util::Rng& rng, bool train) {
-  const linalg::Matrix& raw = gen_.forward(z_cond, train);
-  head_out_ = raw;
-  // Gumbel-softmax per categorical block; numerical slice passes through.
+void CtabganPlus::gumbel_heads(linalg::Matrix& logits, util::Rng& rng) const {
   const float tau = cfg_.gumbel_tau;
   for (const auto& b : encoder_.blocks()) {
-    for (std::size_t r = 0; r < head_out_.rows(); ++r) {
-      float* row = head_out_.data() + r * head_out_.cols() + b.offset;
+    for (std::size_t r = 0; r < logits.rows(); ++r) {
+      float* row = logits.data() + r * logits.cols() + b.offset;
       float peak = -1e30f;
       for (std::size_t j = 0; j < b.cardinality; ++j) {
         const double u = std::max(rng.uniform(), 1e-12);
@@ -74,6 +69,12 @@ const linalg::Matrix& CtabganPlus::generator_forward(
       for (std::size_t j = 0; j < b.cardinality; ++j) row[j] /= denom;
     }
   }
+}
+
+const linalg::Matrix& CtabganPlus::generator_forward(
+    const linalg::Matrix& z_cond, util::Rng& rng) {
+  head_out_ = gen_.forward(z_cond, /*train=*/true);
+  gumbel_heads(head_out_, rng);
   return head_out_;
 }
 
@@ -236,7 +237,7 @@ void CtabganPlus::train_steps(const linalg::Matrix& data,
       z.resize(batch, cfg_.noise_dim);
       for (float& v : z.flat()) v = static_cast<float>(rng_.normal());
       hconcat(z, cond_mat, z_cond);
-      const linalg::Matrix fake = generator_forward(z_cond, rng_, true);
+      const linalg::Matrix fake = generator_forward(z_cond, rng_);
 
       hconcat(real, cond_mat, real_cond);
       const linalg::Matrix real_logits = disc_.forward(real_cond, true);
@@ -262,7 +263,7 @@ void CtabganPlus::train_steps(const linalg::Matrix& data,
     z.resize(batch, cfg_.noise_dim);
     for (float& v : z.flat()) v = static_cast<float>(rng_.normal());
     hconcat(z, cond_mat, z_cond);
-    const linalg::Matrix& fake = generator_forward(z_cond, rng_, true);
+    const linalg::Matrix& fake = generator_forward(z_cond, rng_);
 
     hconcat(fake, cond_mat, fake_cond);
     const linalg::Matrix& fake_logits = disc_.forward(fake_cond, true);
@@ -309,17 +310,18 @@ void CtabganPlus::train_steps(const linalg::Matrix& data,
   }
 }
 
-tabular::Table CtabganPlus::sample_chunk(std::size_t n, std::uint64_t seed) {
+tabular::Table CtabganPlus::sample_chunk(std::size_t n,
+                                        std::uint64_t seed) const {
   if (!fitted_) throw std::logic_error("ctabgan: sample before fit");
   util::Rng rng(seed);
   tabular::Table out = encoder_.make_empty_table();
-  const std::size_t width = encoder_.encoded_width();
   const std::size_t chunk = 2048;
 
   std::vector<Condition> conds;
   linalg::Matrix cond_mat;
   linalg::Matrix z;
   linalg::Matrix z_cond;
+  std::vector<linalg::Matrix> ws;  // generator activations
   for (std::size_t off = 0; off < n; off += chunk) {
     const std::size_t cur = std::min(chunk, n - off);
     draw_conditions(rng, cur, conds);
@@ -327,17 +329,14 @@ tabular::Table CtabganPlus::sample_chunk(std::size_t n, std::uint64_t seed) {
     z.resize(cur, cfg_.noise_dim);
     for (float& v : z.flat()) v = static_cast<float>(rng.normal());
     hconcat(z, cond_mat, z_cond);
-    linalg::Matrix soft = generator_forward(z_cond, rng, false);
-    (void)width;
+    linalg::Matrix& soft = gen_.infer(z_cond, ws);
+    gumbel_heads(soft, rng);
     out.append_table(encoder_.decode(soft, &rng));
   }
   return out;
 }
 
-void CtabganPlus::save(std::ostream& os) const { save_impl(os, true); }
-
-void CtabganPlus::save_impl(std::ostream& os,
-                            bool include_train_state) const {
+void CtabganPlus::save(std::ostream& os) const {
   if (!fitted_) throw std::logic_error("ctabgan: save before fit");
   util::io::write_tag(os, "CTGN");
   util::io::write_u32(os, 2);  // payload version
@@ -355,7 +354,7 @@ void CtabganPlus::save_impl(std::ostream& os,
   // v2: optional training state so a reloaded model can warm_fit — the
   // discriminator, both optimizers, cumulative category counts, and the
   // training RNG.
-  const bool train_state = include_train_state && g_opt_ != nullptr;
+  const bool train_state = g_opt_ != nullptr;
   util::io::write_u32(os, train_state ? 1 : 0);
   if (train_state) {
     util::io::write_f32(os, cfg_.budget.learning_rate);
@@ -408,14 +407,6 @@ void CtabganPlus::load(std::istream& is) {
     rng_.load(is);
   }
   fitted_ = true;
-}
-
-std::unique_ptr<TabularGenerator> CtabganPlus::clone() const {
-  std::stringstream buffer;
-  save_impl(buffer, /*include_train_state=*/false);
-  auto copy = std::make_unique<CtabganPlus>(cfg_);
-  copy->load(buffer);
-  return copy;
 }
 
 namespace {

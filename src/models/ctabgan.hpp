@@ -50,14 +50,13 @@ class CtabganPlus final : public TabularGenerator {
     return fitted_ && g_opt_ != nullptr;
   }
   [[nodiscard]] bool fitted() const noexcept override { return fitted_; }
-  [[nodiscard]] tabular::Table sample_chunk(std::size_t n,
-                                            std::uint64_t seed) override;
+  [[nodiscard]] tabular::Table sample_chunk(
+      std::size_t n, std::uint64_t seed) const override;
   [[nodiscard]] std::string key() const override { return "ctabgan"; }
   [[nodiscard]] std::string name() const override { return "CTABGAN+"; }
 
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
-  [[nodiscard]] std::unique_ptr<TabularGenerator> clone() const override;
 
   [[nodiscard]] float last_disc_loss() const noexcept { return last_d_; }
   [[nodiscard]] float last_gen_loss() const noexcept { return last_g_; }
@@ -74,10 +73,14 @@ class CtabganPlus final : public TabularGenerator {
   /// One-hot condition matrix (batch, cond_width).
   void conditions_to_matrix(const std::vector<Condition>& conds,
                             linalg::Matrix& out) const;
-  /// Generator forward: noise+cond -> soft mixed rows. Returns the head
-  /// output; raw pre-softmax logits stay cached for backward_heads().
+  /// Gumbel-softmax over each categorical block of the generator's raw
+  /// output, in place; the numerical slice passes through. Shared by
+  /// training and the const sampling path.
+  void gumbel_heads(linalg::Matrix& logits, util::Rng& rng) const;
+  /// Training generator forward: noise+cond -> soft mixed rows. Returns the
+  /// head output, cached in head_out_ for generator_backward().
   const linalg::Matrix& generator_forward(const linalg::Matrix& z_cond,
-                                          util::Rng& rng, bool train);
+                                          util::Rng& rng);
   /// Backward through the Gumbel-softmax heads into the generator body.
   void generator_backward(const linalg::Matrix& grad_soft);
 
@@ -94,9 +97,6 @@ class CtabganPlus final : public TabularGenerator {
   void train_steps(const linalg::Matrix& data, std::size_t total_steps,
                    std::size_t steps_per_epoch, const nn::LrSchedule& schedule,
                    const FitOptions& opts);
-  /// save() with or without the training-only state (discriminator,
-  /// optimizer moments, counts, RNG): clone() drops it.
-  void save_impl(std::ostream& os, bool include_train_state) const;
 
   CtabganConfig cfg_;
   bool fitted_ = false;

@@ -32,7 +32,7 @@ void TabularGenerator::warm_fit(const tabular::Table& /*delta*/,
 }
 
 void TabularGenerator::sample_into(tabular::Table& out,
-                                   const SampleRequest& request) {
+                                   const SampleRequest& request) const {
   if (!fitted()) {
     throw std::logic_error(name() + ": sample before fit");
   }
@@ -43,51 +43,28 @@ void TabularGenerator::sample_into(tabular::Table& out,
 
   const std::size_t num_chunks =
       (request.rows + request.chunk_rows - 1) / request.chunk_rows;
-  std::size_t threads = request.threads == 0
-                            ? util::ThreadPool::global().size()
-                            : request.threads;
-  threads = std::min(threads, num_chunks);
-
   std::vector<tabular::Table> chunks(num_chunks);
   std::mutex progress_mutex;
   std::size_t rows_done = 0;
-  const auto run_chunk = [&](TabularGenerator& model, std::size_t c) {
-    const std::size_t lo = c * request.chunk_rows;
-    const std::size_t n = std::min(request.chunk_rows, request.rows - lo);
-    chunks[c] = model.sample_chunk(n, derive_chunk_seed(request.seed, c));
-    if (request.on_progress) {
-      const std::lock_guard lock(progress_mutex);
-      rows_done += n;
-      request.on_progress(rows_done, request.rows);
-    }
-  };
-
-  if (threads <= 1) {
-    for (std::size_t c = 0; c < num_chunks; ++c) run_chunk(*this, c);
-  } else {
-    // Worker w owns chunks w, w+threads, w+2*threads, ... — the partition
-    // and the per-chunk seeds are thread-count-independent, so so is the
-    // output. Models that sample through shared mutable buffers (the
-    // neural forward passes) get one fitted replica per worker, cloned
-    // inside the worker task so replica construction itself runs in
-    // parallel (save() only reads fitted state, so concurrent clones of
-    // one source are safe); read-only samplers share this instance and
-    // skip the clone cost entirely.
-    const bool share_this = concurrent_sampling();
-    auto& pool = util::ThreadPool::global();
-    util::TaskGroup group;
-    for (std::size_t w = 0; w < threads; ++w) {
-      pool.submit(group, [&, share_this, w] {
-        std::unique_ptr<TabularGenerator> replica;
-        if (!share_this) replica = clone();
-        TabularGenerator& model = share_this ? *this : *replica;
-        for (std::size_t c = w; c < num_chunks; c += threads) {
-          run_chunk(model, c);
+  // The partition and the per-chunk seeds are thread-count-independent, so
+  // the output is too; sample_chunk is const, so every worker samples from
+  // this one instance. request.threads caps the fan-out (0 = whole pool,
+  // 1 = serial in the calling thread).
+  util::parallel_for(
+      0, num_chunks,
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t c = first; c < last; ++c) {
+          const std::size_t lo = c * request.chunk_rows;
+          const std::size_t n = std::min(request.chunk_rows, request.rows - lo);
+          chunks[c] = sample_chunk(n, derive_chunk_seed(request.seed, c));
+          if (request.on_progress) {
+            const std::lock_guard lock(progress_mutex);
+            rows_done += n;
+            request.on_progress(rows_done, request.rows);
+          }
         }
-      });
-    }
-    pool.wait(group);
-  }
+      },
+      /*grain=*/1, request.threads);
 
   for (std::size_t c = 0; c < num_chunks; ++c) {
     if (out.num_columns() == 0 && c == 0) {
@@ -98,7 +75,8 @@ void TabularGenerator::sample_into(tabular::Table& out,
   }
 }
 
-tabular::Table TabularGenerator::sample(std::size_t n, std::uint64_t seed) {
+tabular::Table TabularGenerator::sample(std::size_t n,
+                                        std::uint64_t seed) const {
   tabular::Table out;
   SampleRequest request;
   request.rows = n;

@@ -16,7 +16,9 @@
 //     chunk partition depends only on (rows, seed, chunk_rows), never on
 //     the thread count, so output is bitwise identical however many workers
 //     run it (the ParK-style partition-and-parallelize lever,
-//     arXiv:2106.12231, applied to synthetic-row generation);
+//     arXiv:2106.12231, applied to synthetic-row generation). Sampling is
+//     const and re-entrant: every chunk, job and thread shares one fitted
+//     instance;
 //   * save(ostream)/load(istream) — persistence of fitted state, so a model
 //     trains once and serves many sampling calls (see save_model/load_model
 //     for the self-describing archive format).
@@ -138,7 +140,9 @@ class TabularGenerator {
   /// Gradient models resume from their retained optimizer moments at a
   /// reduced flat learning rate; SMOTE appends to its neighbour index.
   /// Throws std::logic_error when unfitted or when the training state was
-  /// not retained (see warm_startable()).
+  /// not retained (see warm_startable()). Like fit() and load(), it mutates
+  /// the instance: it must not run concurrently with sampling on the same
+  /// instance.
   virtual void warm_fit(const tabular::Table& delta,
                         const RefreshOptions& opts);
   void warm_fit(const tabular::Table& delta) { warm_fit(delta, {}); }
@@ -155,8 +159,11 @@ class TabularGenerator {
 
   /// Sampling primitive: n rows drawn from the stream seeded with `seed`.
   /// Each call is independent and deterministic for a given seed after fit.
-  [[nodiscard]] virtual tabular::Table sample_chunk(std::size_t n,
-                                                    std::uint64_t seed) = 0;
+  /// Const and re-entrant: it only reads fitted state and keeps its
+  /// scratch buffers local, so any number of threads may call it on one
+  /// instance at once.
+  [[nodiscard]] virtual tabular::Table sample_chunk(
+      std::size_t n, std::uint64_t seed) const = 0;
 
   /// Persistence of fitted state. save() requires a fitted model; load()
   /// leaves the instance fitted and ready to sample (training-only state is
@@ -166,29 +173,16 @@ class TabularGenerator {
   virtual void save(std::ostream& os) const = 0;
   virtual void load(std::istream& is) = 0;
 
-  /// Deep copy of the fitted *sampling* state (used for per-worker replicas
-  /// during parallel sampling; implemented via save/load round-trip).
-  /// Training-only state (optimizer moments, training RNG) is not copied —
-  /// replicas sample, they never train.
-  [[nodiscard]] virtual std::unique_ptr<TabularGenerator> clone() const = 0;
-
-  /// True when sample_chunk() only reads shared state, letting sample_into
-  /// run chunks concurrently on this instance instead of paying for
-  /// per-worker clones. Models whose forward passes reuse internal buffers
-  /// (the neural ones) keep the default false.
-  [[nodiscard]] virtual bool concurrent_sampling() const noexcept {
-    return false;
-  }
-
   /// Chunked synthesis appended to `out` (which must be empty or share the
   /// training schema). Splits the request into chunk_rows-sized chunks with
   /// derived per-chunk seeds and runs them on util::ThreadPool when
-  /// request.threads != 1; output is bitwise identical for every thread
-  /// count.
-  void sample_into(tabular::Table& out, const SampleRequest& request);
+  /// request.threads != 1, every chunk on this one instance; output is
+  /// bitwise identical for every thread count.
+  void sample_into(tabular::Table& out, const SampleRequest& request) const;
 
   /// Convenience wrapper over sample_into with default chunking, serial.
-  [[nodiscard]] tabular::Table sample(std::size_t n, std::uint64_t seed);
+  [[nodiscard]] tabular::Table sample(std::size_t n,
+                                      std::uint64_t seed) const;
 };
 
 /// Everything the registry knows about one surrogate family.

@@ -1,7 +1,6 @@
 #include "models/smote.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/serialize.hpp"
@@ -125,7 +124,7 @@ std::vector<knn::Neighbor> Smote::neighbors_of(std::size_t base) const {
   return neighbors;
 }
 
-tabular::Table Smote::sample_chunk(std::size_t n, std::uint64_t seed) {
+tabular::Table Smote::sample_chunk(std::size_t n, std::uint64_t seed) const {
   if (!fitted_) throw std::logic_error("smote: sample before fit");
   util::Rng rng(seed);
 
@@ -208,14 +207,6 @@ void Smote::load(std::istream& is) {
   tree_ = std::make_unique<knn::KdTree>(numerical_);
   indexed_rows_ = numerical_.rows();
   fitted_ = true;
-}
-
-std::unique_ptr<TabularGenerator> Smote::clone() const {
-  std::stringstream buffer;
-  save(buffer);
-  auto copy = std::make_unique<Smote>(cfg_);
-  copy->load(buffer);
-  return copy;
 }
 
 namespace {

@@ -40,20 +40,13 @@ class Smote final : public TabularGenerator {
     return fitted_;
   }
   [[nodiscard]] bool fitted() const noexcept override { return fitted_; }
-  [[nodiscard]] tabular::Table sample_chunk(std::size_t n,
-                                            std::uint64_t seed) override;
+  [[nodiscard]] tabular::Table sample_chunk(
+      std::size_t n, std::uint64_t seed) const override;
   [[nodiscard]] std::string key() const override { return "smote"; }
   [[nodiscard]] std::string name() const override { return "SMOTE"; }
 
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
-  [[nodiscard]] std::unique_ptr<TabularGenerator> clone() const override;
-
-  /// sample_chunk only reads the fitted state (k-d tree queries are const),
-  /// so chunks can run concurrently on one instance.
-  [[nodiscard]] bool concurrent_sampling() const noexcept override {
-    return true;
-  }
 
   [[nodiscard]] const SmoteConfig& config() const noexcept { return cfg_; }
 

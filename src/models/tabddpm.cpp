@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "nn/losses.hpp"
@@ -202,7 +201,8 @@ void TabDdpm::train_epochs(const linalg::Matrix& data, std::size_t epochs,
   }
 }
 
-tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
+tabular::Table TabDdpm::sample_chunk(std::size_t n,
+                                    std::uint64_t seed) const {
   if (!fitted_) throw std::logic_error("tabddpm: sample before fit");
   util::Rng rng(seed);
   const std::size_t width = encoder_.encoded_width();
@@ -213,6 +213,7 @@ tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
   tabular::Table out_table = encoder_.make_empty_table();
   linalg::Matrix x(chunk, width);          // current state (num + one-hot)
   linalg::Matrix input(chunk, width + cfg_.time_embed_dim);
+  std::vector<linalg::Matrix> ws;  // denoiser activations
   std::vector<double> post;
 
   for (std::size_t off = 0; off < n; off += chunk) {
@@ -239,7 +240,7 @@ tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
                     input.data() + r * input.cols());
         embed_time(t, input, r, width);
       }
-      const linalg::Matrix& pred = net_.forward(input, /*train=*/false);
+      const linalg::Matrix& pred = net_.infer(input, ws);
 
       const double ab_t = alpha_bar_[t];
       const double ab_prev = alpha_bar_[t - 1];
@@ -313,7 +314,7 @@ tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
 std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
                                             std::size_t probes,
                                             std::size_t draws,
-                                            std::uint64_t seed) {
+                                            std::uint64_t seed) const {
   if (!fitted_) throw std::logic_error("tabddpm: anomaly_scores before fit");
   if (probes == 0 || draws == 0) {
     throw std::invalid_argument("tabddpm: probes/draws must be positive");
@@ -328,6 +329,7 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
   std::vector<double> scores(n, 0.0);
   linalg::Matrix input(n, width + cfg_.time_embed_dim);
   linalg::Matrix eps(n, m);
+  std::vector<linalg::Matrix> ws;  // denoiser activations
 
   // Probe at evenly spaced mid-range timesteps: very small t is trivial to
   // denoise, very large t destroys all signal; the informative band is the
@@ -363,7 +365,7 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
         }
         embed_time(t, input, r, width);
       }
-      const linalg::Matrix& pred = net_.forward(input, /*train=*/false);
+      const linalg::Matrix& pred = net_.infer(input, ws);
       for (std::size_t r = 0; r < n; ++r) {
         double err = 0.0;
         for (std::size_t j = 0; j < m; ++j) {
@@ -399,9 +401,7 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
   return scores;
 }
 
-void TabDdpm::save(std::ostream& os) const { save_impl(os, true); }
-
-void TabDdpm::save_impl(std::ostream& os, bool include_train_state) const {
+void TabDdpm::save(std::ostream& os) const {
   if (!fitted_) throw std::logic_error("tabddpm: save before fit");
   util::io::write_tag(os, "DDPM");
   util::io::write_u32(os, 2);  // payload version
@@ -410,7 +410,7 @@ void TabDdpm::save_impl(std::ostream& os, bool include_train_state) const {
   encoder_.save(os);
   nn::save_mlp(os, net_);
   // v2: optional training state so a reloaded model can warm_fit.
-  const bool train_state = include_train_state && opt_ != nullptr;
+  const bool train_state = opt_ != nullptr;
   util::io::write_u32(os, train_state ? 1 : 0);
   if (train_state) {
     // Fit-time budget: warm_fit derives its epoch count and LR from it.
@@ -447,14 +447,6 @@ void TabDdpm::load(std::istream& is) {
   }
   build_schedule();
   fitted_ = true;
-}
-
-std::unique_ptr<TabularGenerator> TabDdpm::clone() const {
-  std::stringstream buffer;
-  save_impl(buffer, /*include_train_state=*/false);
-  auto copy = std::make_unique<TabDdpm>(cfg_);
-  copy->load(buffer);
-  return copy;
 }
 
 namespace {

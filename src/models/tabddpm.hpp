@@ -48,14 +48,13 @@ class TabDdpm final : public TabularGenerator {
     return fitted_ && opt_ != nullptr;
   }
   [[nodiscard]] bool fitted() const noexcept override { return fitted_; }
-  [[nodiscard]] tabular::Table sample_chunk(std::size_t n,
-                                            std::uint64_t seed) override;
+  [[nodiscard]] tabular::Table sample_chunk(
+      std::size_t n, std::uint64_t seed) const override;
   [[nodiscard]] std::string key() const override { return "tabddpm"; }
   [[nodiscard]] std::string name() const override { return "TabDDPM"; }
 
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
-  [[nodiscard]] std::unique_ptr<TabularGenerator> clone() const override;
 
   [[nodiscard]] float last_epoch_loss() const noexcept {
     return last_epoch_loss_;
@@ -72,7 +71,7 @@ class TabDdpm final : public TabularGenerator {
   /// far from the learned manifold denoise poorly and score high.
   [[nodiscard]] std::vector<double> anomaly_scores(
       const tabular::Table& rows, std::size_t probes = 4,
-      std::size_t draws = 4, std::uint64_t seed = 97);
+      std::size_t draws = 4, std::uint64_t seed = 97) const;
 
  private:
   /// Write the sinusoidal embedding of timestep t into out[row, offset..).
@@ -88,9 +87,6 @@ class TabDdpm final : public TabularGenerator {
   /// and warm refresh (flat reduced LR).
   void train_epochs(const linalg::Matrix& data, std::size_t epochs,
                     const nn::LrSchedule& schedule, const FitOptions& opts);
-  /// save() with or without the training-only state (optimizer moments,
-  /// RNG): clone() drops it — sampling replicas never train.
-  void save_impl(std::ostream& os, bool include_train_state) const;
 
   TabDdpmConfig cfg_;
   bool fitted_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "nn/losses.hpp"
@@ -149,7 +148,7 @@ void Tvae::train_epochs(const linalg::Matrix& data, std::size_t epochs,
   }
 }
 
-tabular::Table Tvae::sample_chunk(std::size_t n, std::uint64_t seed) {
+tabular::Table Tvae::sample_chunk(std::size_t n, std::uint64_t seed) const {
   if (!fitted_) throw std::logic_error("tvae: sample before fit");
   util::Rng rng(seed);
   const std::size_t latent = cfg_.latent_dim;
@@ -157,11 +156,12 @@ tabular::Table Tvae::sample_chunk(std::size_t n, std::uint64_t seed) {
 
   tabular::Table out = encoder_map_.make_empty_table();
   linalg::Matrix z;
+  std::vector<linalg::Matrix> ws;  // decoder activations
   for (std::size_t off = 0; off < n; off += chunk) {
     const std::size_t cur = std::min(chunk, n - off);
     z.resize(cur, latent);
     for (float& v : z.flat()) v = static_cast<float>(rng.normal());
-    linalg::Matrix y = decoder_.forward(z, /*train=*/false);
+    linalg::Matrix& y = decoder_.infer(z, ws);
     // Turn categorical logits into probabilities; decode() then samples.
     for (const auto& b : encoder_map_.blocks()) {
       linalg::softmax_rows(y, b.offset, b.offset + b.cardinality);
@@ -171,9 +171,7 @@ tabular::Table Tvae::sample_chunk(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-void Tvae::save(std::ostream& os) const { save_impl(os, true); }
-
-void Tvae::save_impl(std::ostream& os, bool include_train_state) const {
+void Tvae::save(std::ostream& os) const {
   if (!fitted_) throw std::logic_error("tvae: save before fit");
   util::io::write_tag(os, "TVAE");
   util::io::write_u32(os, 2);  // payload version
@@ -182,7 +180,7 @@ void Tvae::save_impl(std::ostream& os, bool include_train_state) const {
   nn::save_mlp(os, decoder_);
   // v2: optional training state so a reloaded model can warm_fit — the
   // encoder net, the optimizer moments + step clock, and the training RNG.
-  const bool train_state = include_train_state && opt_ != nullptr;
+  const bool train_state = opt_ != nullptr;
   util::io::write_u32(os, train_state ? 1 : 0);
   if (train_state) {
     // Fit-time budget: warm_fit derives its epoch count and LR from it.
@@ -234,13 +232,5 @@ const RegisterGenerator kRegisterTvae{{
     },
 }};
 }  // namespace
-
-std::unique_ptr<TabularGenerator> Tvae::clone() const {
-  std::stringstream buffer;
-  save_impl(buffer, /*include_train_state=*/false);
-  auto copy = std::make_unique<Tvae>(cfg_);
-  copy->load(buffer);
-  return copy;
-}
 
 }  // namespace surro::models

@@ -36,14 +36,13 @@ class Tvae final : public TabularGenerator {
     return fitted_ && opt_ != nullptr;
   }
   [[nodiscard]] bool fitted() const noexcept override { return fitted_; }
-  [[nodiscard]] tabular::Table sample_chunk(std::size_t n,
-                                            std::uint64_t seed) override;
+  [[nodiscard]] tabular::Table sample_chunk(
+      std::size_t n, std::uint64_t seed) const override;
   [[nodiscard]] std::string key() const override { return "tvae"; }
   [[nodiscard]] std::string name() const override { return "TVAE"; }
 
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
-  [[nodiscard]] std::unique_ptr<TabularGenerator> clone() const override;
 
   /// Mean total loss of the last training epoch (diagnostics/tests).
   [[nodiscard]] float last_epoch_loss() const noexcept {
@@ -56,9 +55,6 @@ class Tvae final : public TabularGenerator {
   /// warm refresh (flat reduced LR).
   void train_epochs(const linalg::Matrix& data, std::size_t epochs,
                     const nn::LrSchedule& schedule, const FitOptions& opts);
-  /// save() with or without the training-only state (encoder net, optimizer
-  /// moments, RNG): clone() drops it — sampling replicas never train.
-  void save_impl(std::ostream& os, bool include_train_state) const;
 
   TvaeConfig cfg_;
   bool fitted_ = false;

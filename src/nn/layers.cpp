@@ -87,8 +87,12 @@ Linear::Linear(std::size_t in_dim, std::size_t out_dim, util::Rng& rng,
 
 void Linear::forward(const linalg::Matrix& in, linalg::Matrix& out,
                      bool /*train*/) {
-  assert(in.cols() == in_dim_);
   cached_in_ = in;
+  infer(in, out);
+}
+
+void Linear::infer(const linalg::Matrix& in, linalg::Matrix& out) const {
+  assert(in.cols() == in_dim_);
   linalg::gemm(in, w_.value, out);
   linalg::add_row_vector(out, b_.value.flat());
 }
@@ -133,6 +137,11 @@ std::string ActivationLayer::name() const {
 void ActivationLayer::forward(const linalg::Matrix& in, linalg::Matrix& out,
                               bool /*train*/) {
   cached_in_ = in;
+  infer(in, out);
+}
+
+void ActivationLayer::infer(const linalg::Matrix& in,
+                            linalg::Matrix& out) const {
   if (out.rows() != in.rows() || out.cols() != in.cols()) {
     out.resize(in.rows(), in.cols());
   }
@@ -235,7 +244,7 @@ void Dropout::forward(const linalg::Matrix& in, linalg::Matrix& out,
                       bool train) {
   last_train_ = train && p_ > 0.0f;
   if (!last_train_) {
-    out = in;
+    infer(in, out);
     return;
   }
   if (out.rows() != in.rows() || out.cols() != in.cols()) {
@@ -252,6 +261,10 @@ void Dropout::forward(const linalg::Matrix& in, linalg::Matrix& out,
     pm[i] = keep_it ? scl : 0.0f;
     po[i] = pi[i] * pm[i];
   }
+}
+
+void Dropout::infer(const linalg::Matrix& in, linalg::Matrix& out) const {
+  out = in;
 }
 
 void Dropout::backward(const linalg::Matrix& grad_out,
@@ -281,6 +294,26 @@ void LayerNorm::save(std::ostream& os) const {
   linalg::save_matrix(os, beta_.value);
 }
 
+namespace {
+/// Writes (x - mean) / sqrt(var + eps) of one `dim`-wide row into `nrm` and
+/// returns the row's 1/std. Shared by LayerNorm's forward and infer, so both
+/// produce the same bytes.
+float normalize_row(const float* x, std::size_t dim, float eps, float* nrm) {
+  float mean = 0.0f;
+  for (std::size_t j = 0; j < dim; ++j) mean += x[j];
+  mean /= static_cast<float>(dim);
+  float var = 0.0f;
+  for (std::size_t j = 0; j < dim; ++j) {
+    const float d = x[j] - mean;
+    var += d * d;
+  }
+  var /= static_cast<float>(dim);
+  const float inv = 1.0f / std::sqrt(var + eps);
+  for (std::size_t j = 0; j < dim; ++j) nrm[j] = (x[j] - mean) * inv;
+  return inv;
+}
+}  // namespace
+
 void LayerNorm::forward(const linalg::Matrix& in, linalg::Matrix& out,
                         bool /*train*/) {
   assert(in.cols() == dim_);
@@ -289,23 +322,24 @@ void LayerNorm::forward(const linalg::Matrix& in, linalg::Matrix& out,
   cached_norm_.resize(rows, dim_);
   inv_std_.assign(rows, 0.0f);
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* x = in.data() + r * dim_;
-    float mean = 0.0f;
-    for (std::size_t j = 0; j < dim_; ++j) mean += x[j];
-    mean /= static_cast<float>(dim_);
-    float var = 0.0f;
-    for (std::size_t j = 0; j < dim_; ++j) {
-      const float d = x[j] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(dim_);
-    const float inv = 1.0f / std::sqrt(var + eps_);
-    inv_std_[r] = inv;
     float* nrm = cached_norm_.data() + r * dim_;
+    inv_std_[r] = normalize_row(in.data() + r * dim_, dim_, eps_, nrm);
     float* o = out.data() + r * dim_;
     for (std::size_t j = 0; j < dim_; ++j) {
-      nrm[j] = (x[j] - mean) * inv;
       o[j] = nrm[j] * gamma_.value(0, j) + beta_.value(0, j);
+    }
+  }
+}
+
+void LayerNorm::infer(const linalg::Matrix& in, linalg::Matrix& out) const {
+  assert(in.cols() == dim_);
+  const std::size_t rows = in.rows();
+  if (out.rows() != rows || out.cols() != dim_) out.resize(rows, dim_);
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* o = out.data() + r * dim_;
+    (void)normalize_row(in.data() + r * dim_, dim_, eps_, o);
+    for (std::size_t j = 0; j < dim_; ++j) {
+      o[j] = o[j] * gamma_.value(0, j) + beta_.value(0, j);
     }
   }
 }

@@ -2,6 +2,8 @@
 // Layers with exact manual reverse-mode gradients. Each layer caches what its
 // backward pass needs during forward; backward() must be called with the same
 // batch that was last forwarded (the MLP container enforces this pairing).
+// infer() is the const, re-entrant eval-mode forward: it caches nothing and
+// writes the same bytes as forward(in, out, false).
 //
 // Gradients ACCUMULATE into the parameter .grad buffers; optimizers zero them
 // after each step. That makes multi-head models (e.g. the VAE's mu/logvar
@@ -37,6 +39,8 @@ class Layer {
   /// Compute out = f(in). `train` enables dropout noise etc.
   virtual void forward(const linalg::Matrix& in, linalg::Matrix& out,
                        bool train) = 0;
+  /// Eval-mode out = f(in) without touching the layer (re-entrant).
+  virtual void infer(const linalg::Matrix& in, linalg::Matrix& out) const = 0;
   /// Given dL/dout, accumulate parameter grads and compute dL/din.
   virtual void backward(const linalg::Matrix& grad_out,
                         linalg::Matrix& grad_in) = 0;
@@ -62,6 +66,7 @@ class Linear final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
@@ -89,6 +94,7 @@ class ActivationLayer final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   [[nodiscard]] std::string name() const override;
@@ -111,6 +117,7 @@ class Dropout final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   [[nodiscard]] std::string name() const override { return "Dropout"; }
@@ -132,6 +139,7 @@ class LayerNorm final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }

@@ -41,6 +41,18 @@ const linalg::Matrix& Mlp::forward(const linalg::Matrix& in, bool train) {
   return acts_.back();
 }
 
+linalg::Matrix& Mlp::infer(const linalg::Matrix& in,
+                           std::vector<linalg::Matrix>& ws) const {
+  if (layers_.empty()) throw std::logic_error("mlp: empty network");
+  ws.resize(layers_.size());
+  const linalg::Matrix* cur = &in;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    layers_[i]->infer(*cur, ws[i]);
+    cur = &ws[i];
+  }
+  return ws.back();
+}
+
 const linalg::Matrix& Mlp::backward(const linalg::Matrix& grad_out) {
   if (layers_.empty()) throw std::logic_error("mlp: empty network");
   const linalg::Matrix* cur = &grad_out;

@@ -3,6 +3,8 @@
 // activation/gradient buffers, so forward/backward are allocation-free in
 // steady state. This is the backbone of all three neural generative models
 // (TVAE encoder/decoder, GAN generator/discriminator, TabDDPM denoiser).
+// Sampling runs the const infer() over a caller-owned workspace instead, so
+// one fitted network serves any number of threads at once.
 
 #include <memory>
 #include <vector>
@@ -36,6 +38,13 @@ class Mlp {
   /// Forward through every layer; the returned reference stays valid until
   /// the next forward call.
   const linalg::Matrix& forward(const linalg::Matrix& in, bool train);
+
+  /// Eval-mode forward over caller-owned activations: ws[i] receives the
+  /// output of layer i (resized as needed) and the returned reference is
+  /// ws.back(). Caches nothing, so concurrent calls with distinct
+  /// workspaces are safe; the bytes equal forward(in, false).
+  linalg::Matrix& infer(const linalg::Matrix& in,
+                        std::vector<linalg::Matrix>& ws) const;
 
   /// Backward from dL/d(output); returns dL/d(input) (valid until next call).
   const linalg::Matrix& backward(const linalg::Matrix& grad_out);

@@ -69,11 +69,14 @@ SampleService::~SampleService() {
   if (dispatcher_.joinable()) dispatcher_.join();
   // A submitter parked on backpressure woke above, but destroying the
   // members while it is still between the wake-up and its throw would be
-  // a use-after-free on mutex_/cv_space_. Wait until every such waiter
-  // has left submit_job (each decrements the count and notifies, all
-  // under the lock, before unwinding).
+  // a use-after-free on mutex_/cv_space_. Likewise a batch still running
+  // on the pool. Wait until every such waiter has left submit_job and
+  // every batch has finished (each decrements its count and notifies, all
+  // under the lock, and touches no member afterwards).
   std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return submit_waiters_ == 0; });
+  cv_idle_.wait(lock, [this] {
+    return submit_waiters_ == 0 && running_batches_ == 0;
+  });
 }
 
 bool SampleService::over_bounds_locked(std::size_t rows) const {
@@ -263,19 +266,23 @@ void SampleService::resume() {
 }
 
 void SampleService::dispatcher_loop() {
+  auto& pool = util::ThreadPool::global();
+  // One batch in flight per pool worker: enough to keep every worker busy,
+  // few enough that a popped batch never waits in the pool's queue behind
+  // another batch.
+  const std::size_t max_running = pool.size();
   for (;;) {
     std::vector<Pending> batch;
     std::vector<Pending> expired;
+    std::uint64_t batch_index = 0;
     {
       std::unique_lock lock(mutex_);
       // stop_ overrides paused_: shutdown drains whatever is queued.
-      cv_work_.wait(lock, [this] {
-        return stop_ || (!paused_ && !queue_.empty());
+      cv_work_.wait(lock, [&] {
+        if (queue_.empty() || (paused_ && !stop_)) return stop_;
+        return running_batches_ < max_running;
       });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // stopped with nothing left to dispatch
       // Expire queued jobs whose deadline already passed before they cost
       // batch capacity. (Mid-flight expiry is the chunk-boundary check.)
       const double now = clock_.seconds();
@@ -293,13 +300,13 @@ void SampleService::dispatcher_loop() {
       if (!queue_.empty()) {
         batch = pop_batch_locked();
         in_flight_ += batch.size();
-        ++batches_;
+        batch_index = ++batches_;
         batched_jobs_ += batch.size();
+        ++running_batches_;
       }
     }
     // Queue space freed the moment jobs left the queue — wake blocked
-    // submitters *before* the (long) batch execution, and wake drain()
-    // in case expiry emptied the service.
+    // submitters, and wake drain() in case expiry emptied the service.
     cv_space_.notify_all();
     if (!expired.empty()) {
       cv_idle_.notify_all();
@@ -310,8 +317,17 @@ void SampleService::dispatcher_loop() {
       }
     }
     if (!batch.empty()) {
-      run_batch(std::move(batch));
-      cv_idle_.notify_all();
+      // std::function needs a copyable callable; the promises are not.
+      auto owned = std::make_shared<std::vector<Pending>>(std::move(batch));
+      pool.submit([this, owned, batch_index] {
+        run_batch(std::move(*owned), batch_index);
+        // Under the lock, and no member access after it: the destructor
+        // frees the service once running_batches_ reads zero.
+        const std::lock_guard lock(mutex_);
+        --running_batches_;
+        cv_work_.notify_one();
+        cv_idle_.notify_all();
+      });
     }
   }
 }
@@ -371,9 +387,9 @@ void SampleService::record_done_locked(const BatchItem& item,
   --in_flight_;
 }
 
-void SampleService::run_batch(std::vector<Pending> batch) {
+void SampleService::run_batch(std::vector<Pending> batch,
+                              std::uint64_t batch_index) noexcept {
   const double dispatched_at = clock_.seconds();
-  const std::uint64_t batch_index = batches_;  // written by dispatcher only
   // Copied, not referenced: the Pendings are moved into BatchItems below.
   const std::string key = batch.front().job.model_key;
 
@@ -395,17 +411,17 @@ void SampleService::run_batch(std::vector<Pending> batch) {
   constexpr int kKilledDeadline = 2;
   std::vector<std::atomic<int>> state(items.size());
   std::atomic<std::size_t> dead{0};
-  util::TaskGroup group;
   const auto mark_dead = [&](std::size_t i, int cause) {
     int expected = kAlive;
     if (state[i].compare_exchange_strong(expected, cause,
                                          std::memory_order_relaxed)) {
-      // Once every job in the batch is dead there is nothing left worth
-      // sampling — tell the workers to fall out of their chunk loops.
-      if (dead.fetch_add(1, std::memory_order_relaxed) + 1 == items.size()) {
-        group.request_stop();
-      }
+      dead.fetch_add(1, std::memory_order_relaxed);
     }
+  };
+  // Once every job in the batch is dead there is nothing left worth
+  // sampling — the workers fall out of their chunk loops.
+  const auto all_dead = [&] {
+    return dead.load(std::memory_order_relaxed) == items.size();
   };
   const auto sweep_dead = [&] {
     const double now = clock_.seconds();
@@ -461,15 +477,14 @@ void SampleService::run_batch(std::vector<Pending> batch) {
     // Jobs cancelled or expired between pop and dispatch never sample; if
     // that is the whole batch, skip the model acquire outright.
     sweep_dead();
-    if (dead.load(std::memory_order_relaxed) < items.size()) {
+    if (!all_dead()) {
       was_resident = host_.resident(key);
       model = host_.acquire(key);
 
-      // One flat chunk list across the whole batch: worker w owns chunks
-      // w, w+T, w+2T, ... of the *batch*, so coalesced jobs share one set
-      // of per-worker replicas instead of paying a clone per job. Chunk
-      // seeds stay per-job (derive_chunk_seed(job.seed, chunk-within-job)),
-      // which keeps every job's bytes independent of how it was batched.
+      // One flat chunk list across the whole batch, fanned out over the
+      // pool on the one shared instance. Chunk seeds stay per-job
+      // (derive_chunk_seed(job.seed, chunk-within-job)), which keeps every
+      // job's bytes independent of how it was batched and where it ran.
       struct ChunkRef {
         std::size_t item;
         std::size_t chunk;
@@ -486,28 +501,25 @@ void SampleService::run_batch(std::vector<Pending> batch) {
         }
       }
 
-      auto& pool = util::ThreadPool::global();
-      std::size_t threads = 0;  // 0 = whole pool until resolved below
+      // Fan-out cap: the largest request in the batch (0 = whole pool).
+      std::size_t threads = 1;
       for (const auto& item : items) {
         const std::size_t want = item.pending.job.threads != 0
                                      ? item.pending.job.threads
                                      : cfg_.sample_threads;
         if (want == 0) {
-          threads = pool.size();
+          threads = 0;
           break;
         }
         threads = std::max(threads, want);
       }
-      if (threads == 0) threads = pool.size();
-      threads = std::min(threads, std::max<std::size_t>(refs.size(), 1));
 
       std::mutex progress_mutex;
       // The chunk boundary is where cancellation and deadlines bite: a
       // dead job's remaining chunks are skipped (its partial chunks are
       // simply dropped at assembly), and live jobs in the same batch are
       // untouched — that is the clean unwind of a partially-sampled batch.
-      const auto run_chunk = [&](models::TabularGenerator& sampler,
-                                 const ChunkRef& ref) {
+      const auto run_chunk = [&](const ChunkRef& ref) {
         BatchItem& item = items[ref.item];
         if (state[ref.item].load(std::memory_order_relaxed) != kAlive) {
           return;
@@ -520,7 +532,7 @@ void SampleService::run_batch(std::vector<Pending> batch) {
           mark_dead(ref.item, kKilledDeadline);
           return;
         }
-        item.chunks[ref.chunk] = sampler.sample_chunk(ref.rows, ref.seed);
+        item.chunks[ref.chunk] = model->sample_chunk(ref.rows, ref.seed);
         if (item.pending.job.on_progress) {
           const std::lock_guard lock(progress_mutex);
           item.rows_done += ref.rows;
@@ -529,26 +541,14 @@ void SampleService::run_batch(std::vector<Pending> batch) {
         }
       };
 
-      if (threads <= 1) {
-        for (const auto& ref : refs) {
-          if (group.stop_requested()) break;
-          run_chunk(*model, ref);
-        }
-      } else {
-        const bool share = model->concurrent_sampling();
-        for (std::size_t w = 0; w < threads; ++w) {
-          pool.submit(group, [&, w, share] {
-            std::unique_ptr<models::TabularGenerator> replica;
-            if (!share) replica = model->clone();
-            models::TabularGenerator& sampler = share ? *model : *replica;
-            for (std::size_t r = w; r < refs.size(); r += threads) {
-              if (group.stop_requested()) break;
-              run_chunk(sampler, refs[r]);
+      util::parallel_for(
+          0, refs.size(),
+          [&](std::size_t first, std::size_t last) {
+            for (std::size_t r = first; r < last && !all_dead(); ++r) {
+              run_chunk(refs[r]);
             }
-          });
-        }
-        pool.wait(group);
-      }
+          },
+          /*grain=*/1, threads);
     }
   } catch (...) {
     fail_all(std::current_exception());

@@ -2,10 +2,16 @@
 // SampleService: the asynchronous, batched consumption API of the serving
 // layer. Callers submit SampleJobs (model key, rows, seed, priority) and get
 // futures back; a dispatcher thread coalesces compatible jobs — same model
-// key — into batches, acquires the model once per batch from the ModelHost,
-// and fans every batch's chunks out over util::ThreadPool with per-worker
-// sampling replicas. ServiceStats reports qps, p50/p95 latency, rows/sec,
-// queue depth, batching effectiveness, and the host's cache hit rate.
+// key — into batches and hands each batch to util::ThreadPool, up to one
+// batch in flight per pool worker, so while a worker is free a fast job
+// does not wait behind a slow model's batch. Each batch acquires its model once from the ModelHost and
+// fans its chunks out over the pool; sampling is const, so concurrent
+// batches of one key share the same instance. ServiceStats reports qps,
+// p50/p95 latency, rows/sec, queue depth, batching effectiveness, and the
+// host's cache hit rate.
+//
+// Rule: no global-pool task may block on a SampleService future — batches
+// run on that pool, so a pool full of such waiters would starve them.
 //
 // Determinism contract (inherited from TabularGenerator::sample_into and
 // preserved end to end): a job's output bytes depend only on
@@ -303,7 +309,10 @@ class SampleService : public SampleBackend {
   /// Pop the next batch (caller holds the lock): the highest-priority job
   /// plus up to max_batch-1 more jobs with the same model key.
   [[nodiscard]] std::vector<Pending> pop_batch_locked();
-  void run_batch(std::vector<Pending> batch);
+  /// Sample one popped batch and resolve its futures (runs on the pool).
+  /// Every failure lands on the batch's futures, never on the pool.
+  void run_batch(std::vector<Pending> batch,
+                 std::uint64_t batch_index) noexcept;
   void record_done_locked(const BatchItem& item, Outcome outcome);
   /// True when the queued backlog is at a configured bound for a job of
   /// `rows` more rows (caller holds the lock; empty queue always admits).
@@ -314,12 +323,15 @@ class SampleService : public SampleBackend {
   util::Stopwatch clock_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_work_;   // dispatcher: job queued / stop
-  std::condition_variable cv_idle_;   // drain(): a job finished
+  std::condition_variable cv_work_;   // dispatcher: job queued / batch
+                                      // finished / stop
+  std::condition_variable cv_idle_;   // drain(), ~SampleService: a job or
+                                      // batch finished
   std::condition_variable cv_space_;  // blocked submit(): queue shrank
   std::deque<Pending> queue_;
   std::size_t queued_rows_ = 0;  // rows in queue_ (admission accounting)
   std::size_t in_flight_ = 0;  // jobs popped but not yet fulfilled
+  std::size_t running_batches_ = 0;  // batches handed to the pool, not done
   std::size_t submit_waiters_ = 0;  // submits parked on backpressure
   bool paused_ = false;
   bool stop_ = false;

@@ -119,12 +119,10 @@ void ShardPool::register_fitted(
           "save it and use register_archive");
     }
   }
-  for (std::size_t i = 1; i < owners.size(); ++i) {
-    // Clones first: if one throws, no shard has been mutated yet.
-    shards_[owners[i]].host->register_fitted(
-        key, std::shared_ptr<models::TabularGenerator>(model->clone()), pin);
+  // Sampling is const, so every owner shard shares the one instance.
+  for (const std::size_t s : owners) {
+    shards_[s].host->register_fitted(key, model, pin);
   }
-  shards_[owners.front()].host->register_fitted(key, std::move(model), pin);
   const std::lock_guard lock(mutex_);
   placement_.emplace(key, owners);
 }

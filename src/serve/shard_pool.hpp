@@ -21,7 +21,7 @@
 //
 // Determinism: placement never changes bytes. A job's output depends only
 // on (model, rows, seed, chunk_rows) — every replica loads the same
-// archive (or a clone of the same fitted instance) and SampleService
+// archive (or shares the same fitted instance) and SampleService
 // preserves the contract per shard — in-process or across a process
 // boundary, because the wire protocol round-trips tables bit-exactly.
 // tests/test_shard.cpp machine-checks in-process placements;
@@ -88,11 +88,10 @@ class ShardPool : public SampleBackend {
   /// inherits the per-shard HostConfig::ttl_ms default.
   void register_archive(const std::string& key, const std::string& path,
                         double ttl_ms = -1.0);
-  /// Register a fitted in-memory model. The first owner shard takes the
-  /// given instance; further replicas take clone()s, so shards never share
-  /// one sampler (clones sample bitwise-identically by contract). An
-  /// in-memory instance cannot cross a process boundary: when any owner is
-  /// remote this throws std::invalid_argument (use register_archive).
+  /// Register a fitted in-memory model. Every owner shard shares the given
+  /// instance (sampling is const and re-entrant). An in-memory instance
+  /// cannot cross a process boundary: when any owner is remote this throws
+  /// std::invalid_argument (use register_archive).
   void register_fitted(const std::string& key,
                        std::shared_ptr<models::TabularGenerator> model,
                        bool pin = true);

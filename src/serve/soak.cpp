@@ -141,8 +141,9 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
 
   // ---- The bounded backend under test: one SampleService, or a ShardPool
   // of them. The pool replicates the caller's host registrations (archives
-  // by path, fitted models by clone), so the expected digests computed on
-  // the unsharded host above double as the cross-placement check.
+  // by path, fitted models by sharing the instance), so the expected
+  // digests computed on the unsharded host above double as the
+  // cross-placement check.
   ServiceConfig svc_cfg;
   svc_cfg.sample_threads = cfg.sample_threads;
   svc_cfg.chunk_rows = cfg.chunk_rows;
@@ -172,9 +173,7 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
         // A fitted in-memory model cannot cross a process boundary;
         // register_fitted throws when any owner shard is remote, which is
         // the right answer (the worker could never produce those bytes).
-        pool->register_fitted(
-            key, std::shared_ptr<models::TabularGenerator>(
-                     host.acquire(key)->clone()));
+        pool->register_fitted(key, host.acquire(key));
       }
     }
     backend = pool.get();

@@ -30,7 +30,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     const std::lock_guard lock(mutex_);
-    tasks_.push(Task{std::move(task), nullptr});
+    tasks_.push_back(Task{std::move(task), nullptr});
     ++in_flight_;
     ++submitted_total_;
   }
@@ -40,12 +40,21 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::submit(TaskGroup& group, std::function<void()> task) {
   {
     const std::lock_guard lock(mutex_);
-    tasks_.push(Task{std::move(task), &group});
+    tasks_.push_back(Task{std::move(task), &group});
     ++in_flight_;
     ++submitted_total_;
     ++group.pending_;
+    ++group.queued_;
+    group.cv_.notify_one();  // a waiter may be asleep on this group
   }
   cv_task_.notify_one();
+}
+
+ThreadPool::Task ThreadPool::take_locked(std::deque<Task>::iterator it) {
+  Task task = std::move(*it);
+  tasks_.erase(it);
+  if (task.group != nullptr) --task.group->queued_;
+  return task;
 }
 
 void ThreadPool::run_task(Task task) {
@@ -55,38 +64,43 @@ void ThreadPool::run_task(Task task) {
   } catch (...) {
     error = std::current_exception();
   }
+  bool idle = false;
   {
     const std::lock_guard lock(mutex_);
     --in_flight_;
     ++completed_total_;
+    idle = in_flight_ == 0;
     if (task.group != nullptr) {
-      --task.group->pending_;
-      if (error && !task.group->error_) task.group->error_ = error;
+      TaskGroup& group = *task.group;
+      if (error && !group.error_) group.error_ = error;
+      // Notified under the lock: the waiter may destroy the group as soon
+      // as it observes pending_ == 0.
+      if (--group.pending_ == 0) group.cv_.notify_all();
     } else if (error && !ungrouped_error_) {
       ungrouped_error_ = error;
     }
   }
-  // A finished task may unblock wait()/wait_idle() callers.
-  cv_done_.notify_all();
+  if (idle) cv_done_.notify_all();
 }
 
 void ThreadPool::wait(TaskGroup& group) {
   std::unique_lock lock(mutex_);
-  for (;;) {
-    if (group.pending_ == 0) break;
-    if (!tasks_.empty()) {
-      Task task = std::move(tasks_.front());
-      tasks_.pop();
-      lock.unlock();
-      run_task(std::move(task));
-      lock.lock();
+  while (group.pending_ != 0) {
+    if (group.queued_ == 0) {
+      // The group's remaining tasks are running on other threads.
+      group.cv_.wait(lock, [&] {
+        return group.pending_ == 0 || group.queued_ != 0;
+      });
       continue;
     }
-    // The group's remaining tasks are running on other threads.
-    cv_done_.wait(lock,
-                  [&] { return group.pending_ == 0 || !tasks_.empty(); });
+    // Help with the group's oldest queued task, never anyone else's.
+    Task task = take_locked(std::find_if(
+        tasks_.begin(), tasks_.end(),
+        [&](const Task& t) { return t.group == &group; }));
+    lock.unlock();
+    run_task(std::move(task));
+    lock.lock();
   }
-  group.stop_.store(false, std::memory_order_relaxed);  // reusable batches
   if (group.error_) {
     const std::exception_ptr error = std::exchange(group.error_, nullptr);
     lock.unlock();
@@ -111,8 +125,7 @@ void ThreadPool::worker_loop() {
       std::unique_lock lock(mutex_);
       cv_task_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      task = take_locked(tasks_.begin());
     }
     run_task(std::move(task));
   }

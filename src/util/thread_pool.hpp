@@ -4,21 +4,22 @@
 // pool is created lazily and sized to the hardware.
 //
 // Work is tracked per TaskGroup, and waiting is *helping*: a thread blocked
-// on TaskGroup::wait() executes queued tasks (its own group's or anyone
-// else's) instead of sleeping. That makes nested parallelism safe — a pool
-// worker running a sampling chunk may itself call parallel_for (e.g. through
-// GEMM) without deadlocking the pool. parallel_for falls back to a serial
-// loop when the range is small or the pool has a single worker, so call
-// sites never special-case.
+// in ThreadPool::wait(group) executes that group's queued tasks instead of
+// sleeping. A waiter can always run its own queued tasks, so nested
+// parallelism is safe — a pool worker running a sampling chunk may itself
+// call parallel_for (e.g. through GEMM) without deadlocking the pool. It
+// never picks up another group's (or an ungrouped) task, so a GEMM wait
+// inside one served batch cannot absorb a whole unrelated batch. parallel_for
+// falls back to a serial loop when the range is small or the pool has a
+// single worker, so call sites never special-case.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -49,24 +50,13 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Cooperative cancellation: request_stop() flips a flag that the group's
-  /// tasks may poll via stop_requested() to abandon remaining work early.
-  /// The pool itself never inspects the flag — already-queued tasks still
-  /// run (and should return promptly once they observe the flag), so
-  /// wait() semantics are unchanged. The flag resets on the next wait()
-  /// return, keeping the group reusable across batches.
-  void request_stop() noexcept {
-    stop_.store(true, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool stop_requested() const noexcept {
-    return stop_.load(std::memory_order_relaxed);
-  }
-
  private:
   friend class ThreadPool;
-  std::size_t pending_ = 0;  // guarded by the owning pool's mutex
-  std::exception_ptr error_;  // first failure, guarded likewise
-  std::atomic<bool> stop_{false};  // see request_stop()
+  // Guarded by the owning pool's mutex.
+  std::size_t pending_ = 0;  // submitted, not yet finished
+  std::size_t queued_ = 0;   // submitted, not yet started
+  std::exception_ptr error_;  // first failure
+  std::condition_variable cv_;  // wait(): own task queued / group finished
 };
 
 class ThreadPool {
@@ -88,9 +78,10 @@ class ThreadPool {
   void submit(TaskGroup& group, std::function<void()> task);
 
   /// Block until every task submitted against `group` has finished. The
-  /// calling thread helps drain the queue while it waits, so this is safe to
-  /// call from inside a pool worker (nested parallelism). Rethrows the
-  /// first exception any of the group's tasks threw.
+  /// calling thread runs the group's own queued tasks while it waits (never
+  /// anyone else's), so this is safe to call from inside a pool worker
+  /// (nested parallelism). Rethrows the first exception any of the group's
+  /// tasks threw.
   void wait(TaskGroup& group);
 
   /// Block until every submitted task (all groups) has finished. Unlike
@@ -111,14 +102,16 @@ class ThreadPool {
   };
 
   void worker_loop();
+  /// Remove the task at `it` from the queue (caller holds the lock).
+  Task take_locked(std::deque<Task>::iterator it);
   /// Run one task (caller holds no lock), then update the books.
   void run_task(Task task);
 
   std::vector<std::thread> workers_;
-  std::queue<Task> tasks_;
+  std::deque<Task> tasks_;  // FIFO for workers; wait() scans for its own
   mutable std::mutex mutex_;
   std::condition_variable cv_task_;  // workers: work available / stop
-  std::condition_variable cv_done_;  // waiters: a task finished
+  std::condition_variable cv_done_;  // wait_idle(): the pool went idle
   std::size_t in_flight_ = 0;
   std::uint64_t submitted_total_ = 0;
   std::uint64_t completed_total_ = 0;

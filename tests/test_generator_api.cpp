@@ -1,13 +1,15 @@
 // Surrogate Model API v2: registry lookup/enumeration, fitted-model
 // persistence (save -> load -> sample round trips), chunked parallel
-// sampling equivalence, and fit progress/cancellation — for all four
-// built-in models.
+// sampling equivalence, re-entrant sampling on one shared instance, and
+// fit progress/cancellation — for all four built-in models.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -204,6 +206,45 @@ TEST_P(AllGeneratorsV2, ParallelSamplingMatchesSerialBitwise) {
   expect_tables_identical(serial, parallel_all);
 }
 
+TEST_P(AllGeneratorsV2, ConcurrentSampleChunkOnOneInstanceMatchesSerial) {
+  // Sampling is const and re-entrant: four threads drawing chunks from one
+  // fitted instance at once must each get exactly the serial bytes.
+  const auto train = cluster_table(300, 25);
+  auto model = make_generator(GetParam(), tiny_budget(), 7);
+  model->fit(train);
+  const TabularGenerator& shared = *model;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 3;
+  const auto seed_of = [](std::size_t t, std::size_t round) {
+    return std::uint64_t{500 + 10 * t + round};
+  };
+
+  std::vector<std::vector<tabular::Table>> serial(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      serial[t].push_back(shared.sample_chunk(150, seed_of(t, round)));
+    }
+  }
+
+  std::vector<std::vector<tabular::Table>> concurrent(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        concurrent[t].push_back(shared.sample_chunk(150, seed_of(t, round)));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      expect_tables_identical(serial[t][round], concurrent[t][round]);
+    }
+  }
+}
+
 TEST_P(AllGeneratorsV2, SampleIntoReportsProgressAndAppends) {
   const auto train = cluster_table(250, 23);
   auto model = make_generator(GetParam(), tiny_budget(), 7);
@@ -250,14 +291,6 @@ TEST(SampleInto, ThrowingProgressCallbackDoesNotWedgeThePool) {
   tabular::Table retry;
   model->sample_into(retry, request);
   EXPECT_EQ(retry.num_rows(), 300u);
-}
-
-TEST_P(AllGeneratorsV2, CloneSamplesIdentically) {
-  const auto train = cluster_table(250, 24);
-  auto model = make_generator(GetParam(), tiny_budget(), 7);
-  model->fit(train);
-  const auto copy = model->clone();
-  expect_tables_identical(model->sample(80, 17), copy->sample(80, 17));
 }
 
 TEST_P(AllGeneratorsV2, SaveBeforeFitThrows) {

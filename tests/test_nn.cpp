@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "nn/init.hpp"
 #include "nn/layers.hpp"
@@ -245,6 +246,39 @@ TEST(MlpTest, GradientCheckThroughStack) {
     EXPECT_NEAR(grad_in.flat()[i], fd, 2e-2f * std::max(1.0f, std::abs(fd)));
   }
   (void)out;
+}
+
+TEST(MlpTest, InferMatchesEvalForwardBitwise) {
+  // Every layer kind and every activation: the const inference path must
+  // write exactly the bytes of forward(x, false), whatever a reused
+  // workspace held before.
+  util::Rng rng(11);
+  Mlp mlp;
+  mlp.linear(6, 12, rng)
+      .layer_norm(12)
+      .activation(Activation::kSiLU)
+      .dropout(0.3f, rng)
+      .linear(12, 10, rng)
+      .activation(Activation::kLeakyReLU)
+      .linear(10, 8, rng)
+      .activation(Activation::kTanh)
+      .linear(8, 8, rng)
+      .activation(Activation::kSigmoid)
+      .linear(8, 5, rng)
+      .activation(Activation::kReLU);
+  std::vector<linalg::Matrix> ws;
+  (void)mlp.infer(random_matrix(17, 6, rng), ws);  // stale, larger buffers
+  (void)mlp.forward(random_matrix(3, 6, rng), /*train=*/true);  // dropout on
+
+  const auto in = random_matrix(9, 6, rng);
+  const linalg::Matrix inferred = mlp.infer(in, ws);
+  const linalg::Matrix& expected = mlp.forward(in, /*train=*/false);
+  ASSERT_EQ(ws.size(), mlp.num_layers());
+  ASSERT_EQ(inferred.rows(), expected.rows());
+  ASSERT_EQ(inferred.cols(), expected.cols());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(inferred.flat()[i], expected.flat()[i]) << "element " << i;
+  }
 }
 
 // ------------------------------------------------------------------ losses --

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -110,6 +111,57 @@ std::string fit_and_archive(const TempDir& dir, const std::string& key,
   models::save_model_file(*model, path);
   return path;
 }
+
+/// Poll `done` every millisecond for up to `limit`; true once it holds.
+template <typename Pred>
+bool wait_until(Pred done, std::chrono::milliseconds limit =
+                               std::chrono::milliseconds(5000)) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A fitted model whose sample_chunk blocks on a latch until release(),
+/// counting the calls that entered it: a slow model held mid-batch on
+/// demand. Sampling itself delegates to a fitted inner model.
+class GatedGenerator final : public models::TabularGenerator {
+ public:
+  explicit GatedGenerator(std::unique_ptr<models::TabularGenerator> inner)
+      : inner_(std::move(inner)) {}
+
+  using TabularGenerator::fit;
+  void fit(const tabular::Table&, const models::FitOptions&) override {
+    throw std::logic_error("gated: fit");
+  }
+  [[nodiscard]] bool fitted() const noexcept override { return true; }
+  [[nodiscard]] std::string key() const override { return "gated"; }
+  [[nodiscard]] std::string name() const override { return "Gated"; }
+  [[nodiscard]] tabular::Table sample_chunk(
+      std::size_t n, std::uint64_t seed) const override {
+    entered_.fetch_add(1);
+    gate_.wait();
+    return inner_->sample_chunk(n, seed);
+  }
+  void save(std::ostream&) const override {
+    throw std::logic_error("gated: save");
+  }
+  void load(std::istream&) override { throw std::logic_error("gated: load"); }
+
+  [[nodiscard]] int entered() const { return entered_.load(); }
+  /// Open the gate; idempotent.
+  void release() {
+    if (!released_.exchange(true)) gate_.count_down();
+  }
+
+ private:
+  std::unique_ptr<models::TabularGenerator> inner_;
+  mutable std::atomic<int> entered_{0};
+  std::latch gate_{1};
+  std::atomic<bool> released_{false};
+};
 
 // ---------------------------------------------------------- script parsing --
 
@@ -422,6 +474,46 @@ TEST(SampleService, CoalescesByModelAndDispatchesByPriority) {
   // Round two on resident models: every batch is a cache hit now.
   auto again = service.submit(SampleJob{"a", 50, 1});
   EXPECT_TRUE(again.get().cache_hit);
+}
+
+TEST(SampleService, FastJobsOvertakeABlockedSlowBatch) {
+  // Batches run concurrently on the pool: while one batch is stuck inside
+  // a slow model, a job for another model completes, and a second batch of
+  // the *same* key starts sampling on the shared instance.
+  if (util::ThreadPool::global().size() < 2) {
+    GTEST_SKIP() << "needs at least two pool workers";
+  }
+  TempDir dir;
+  const auto smote_path = fit_and_archive(dir, "smote");
+  auto inner = models::make_generator("smote", tiny_budget(), 7);
+  inner->fit(cluster_table(300, 21));
+  auto gated = std::make_shared<GatedGenerator>(std::move(inner));
+  ModelHost host;
+  host.register_archive("smote", smote_path);
+  host.register_fitted("slow", gated);
+  SampleService service(host);
+  // Opens the gate on every way out of this test, before the service
+  // drains, so a failure reports instead of hanging.
+  struct OpenGate {
+    GatedGenerator& gate;
+    ~OpenGate() { gate.release(); }
+  } open_gate{*gated};
+
+  auto slow = service.submit(SampleJob{"slow", 64, 1});
+  ASSERT_TRUE(wait_until([&] { return gated->entered() >= 1; }));
+  auto fast = service.submit(SampleJob{"smote", 64, 2});
+  EXPECT_EQ(fast.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "a fast job queued behind the blocked batch";
+  auto same_key = service.submit(SampleJob{"slow", 64, 3});
+  EXPECT_TRUE(wait_until([&] { return gated->entered() >= 2; }))
+      << "a second batch of the blocked key did not start sampling";
+
+  gated->release();
+  EXPECT_EQ(slow.get().table.num_rows(), 64u);
+  EXPECT_EQ(fast.get().table.num_rows(), 64u);
+  EXPECT_EQ(same_key.get().table.num_rows(), 64u);
+  EXPECT_EQ(service.stats().batches, 3u);
 }
 
 TEST(SampleService, ErrorsSurfaceOnTheFutureNotTheService) {

@@ -350,23 +350,6 @@ TEST(WarmFit, SaveLoadRoundTripPreservesTrainingState) {
   }
 }
 
-TEST(WarmFit, CloneDropsTrainingStateButSamples) {
-  const auto table = make_job_table();
-  for (const std::string key : kAllModels) {
-    auto model = models::make_generator(key, tiny_budget(), 7);
-    model->fit(table);
-    const auto replica = model->clone();
-    ASSERT_TRUE(replica->fitted()) << key;
-    if (key == "smote") {
-      // SMOTE's whole fitted state is its index — clones stay refreshable.
-      EXPECT_TRUE(replica->warm_startable()) << key;
-    } else {
-      EXPECT_FALSE(replica->warm_startable()) << key;
-      EXPECT_THROW(replica->warm_fit(table), std::logic_error) << key;
-    }
-  }
-}
-
 TEST(WarmFit, RefusesRowsOutsideTheFittedVocabularyWithoutCorruption) {
   const auto table = make_job_table();
   const auto cats = table.schema().categorical_indices();

@@ -1,4 +1,5 @@
-// Thread pool correctness: completion, coverage, and reuse.
+// Thread pool correctness: completion, coverage, reuse, and own-group
+// helping waits.
 
 #include "util/thread_pool.hpp"
 
@@ -6,6 +7,7 @@
 
 #include <atomic>
 #include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -151,6 +153,36 @@ TEST(TaskGroup, WaitCoversOnlyOwnTasks) {
   pool.wait_idle();
 }
 
+TEST(TaskGroup, WaitHelpsOnlyWithItsOwnGroup) {
+  // A helping wait runs its own group's queued tasks, never another
+  // group's: with the only worker blocked, wait(A) must run A's task itself
+  // and leave B's task queued, even though B's was queued first.
+  ThreadPool pool(1);
+  std::latch started(1);
+  std::latch release(1);
+  pool.submit([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+
+  TaskGroup group_a;
+  TaskGroup group_b;
+  std::atomic<bool> ran_x{false};
+  std::atomic<bool> ran_y{false};
+  pool.submit(group_b, [&] { ran_x.store(true); });
+  pool.submit(group_a, [&] { ran_y.store(true); });
+  pool.wait(group_a);
+  EXPECT_TRUE(ran_y.load());
+  EXPECT_FALSE(ran_x.load());
+  EXPECT_EQ(pool.counters().queued, 1u);
+
+  release.count_down();
+  pool.wait(group_b);
+  EXPECT_TRUE(ran_x.load());
+  pool.wait_idle();
+}
+
 TEST(TaskGroup, ReusableAfterWait) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
@@ -162,41 +194,6 @@ TEST(TaskGroup, ReusableAfterWait) {
     pool.wait(group);
   }
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(TaskGroup, StopTokenIsCooperativeAndResetsOnWait) {
-  ThreadPool pool(2);
-  TaskGroup group;
-  EXPECT_FALSE(group.stop_requested());
-
-  // Tasks poll the flag and bail; the flag never prevents queued tasks
-  // from *running* — cancellation is cooperative.
-  std::atomic<int> ran{0};
-  std::atomic<int> bailed{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.submit(group, [&] {
-      if (group.stop_requested()) {
-        bailed.fetch_add(1);
-      } else {
-        ran.fetch_add(1);
-        if (ran.load() >= 4) group.request_stop();
-      }
-    });
-  }
-  pool.wait(group);
-  EXPECT_EQ(ran.load() + bailed.load(), 32);
-  EXPECT_GE(ran.load(), 4);
-
-  // wait() reset the flag, so the group is reusable for a fresh batch.
-  EXPECT_FALSE(group.stop_requested());
-  std::atomic<int> second{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit(group, [&] {
-      if (!group.stop_requested()) second.fetch_add(1);
-    });
-  }
-  pool.wait(group);
-  EXPECT_EQ(second.load(), 8);
 }
 
 TEST(TaskGroup, ThrowingTaskPropagatesWithoutWedgingPool) {
