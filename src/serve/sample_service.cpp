@@ -80,13 +80,19 @@ SampleService::~SampleService() {
 }
 
 bool SampleService::over_bounds_locked(std::size_t rows) const {
-  // An empty queue always admits — even a single job bigger than
-  // max_queued_rows — so no job is unserveable by configuration.
-  if (queue_.empty()) return false;
-  if (cfg_.max_queue_depth != 0 && queue_.size() >= cfg_.max_queue_depth) {
+  // Batches run concurrently, so a new job shares the pool with every job
+  // in flight, not only the queued ones: the depth bound counts in-flight
+  // jobs beyond the first. With at most one job in flight that is exactly
+  // the queue; under overload it caps the service at max_queue_depth + 1
+  // unfinished jobs on any pool size. An idle service always admits.
+  const std::size_t backlog =
+      queue_.size() + (in_flight_ == 0 ? 0 : in_flight_ - 1);
+  if (cfg_.max_queue_depth != 0 && backlog >= cfg_.max_queue_depth) {
     return true;
   }
-  return cfg_.max_queued_rows != 0 &&
+  // An empty queue always passes the row bound — even a single job bigger
+  // than max_queued_rows — so no job is unserveable by configuration.
+  return !queue_.empty() && cfg_.max_queued_rows != 0 &&
          queued_rows_ + rows > cfg_.max_queued_rows;
 }
 
@@ -149,21 +155,24 @@ Submitted SampleService::submit_job(SampleJob job) {
               ServiceError::Code::kOverloaded,
               "sample service: admission queue full (" +
                   std::to_string(queue_.size()) + " jobs, " +
-                  std::to_string(queued_rows_) + " rows queued)");
+                  std::to_string(queued_rows_) + " rows queued, " +
+                  std::to_string(in_flight_) + " jobs in flight)");
         }
         case AdmissionPolicy::kShed: {
           while (over_bounds_locked(pending.job.rows)) {
             // Weakest queued job: lowest priority, ties drop the newest.
+            // In-flight jobs are never shed, so with nothing queued the
+            // incoming job is the weakest.
             auto weakest = queue_.begin();
-            for (auto it = std::next(queue_.begin()); it != queue_.end();
-                 ++it) {
+            for (auto it = queue_.begin(); it != queue_.end(); ++it) {
               if (it->job.priority < weakest->job.priority ||
                   (it->job.priority == weakest->job.priority &&
                    it->seq > weakest->seq)) {
                 weakest = it;
               }
             }
-            if (weakest->job.priority >= pending.job.priority) {
+            if (weakest == queue_.end() ||
+                weakest->job.priority >= pending.job.priority) {
               // The incoming job is the weakest (ties shed the newcomer):
               // an admission refusal, counted like a rejection — `shed_`
               // stays the count of *admitted* jobs dropped, preserving
@@ -267,9 +276,11 @@ void SampleService::resume() {
 
 void SampleService::dispatcher_loop() {
   auto& pool = util::ThreadPool::global();
-  // One batch in flight per pool worker: enough to keep every worker busy,
-  // few enough that a popped batch never waits in the pool's queue behind
-  // another batch.
+  // One batch in flight per pool worker: enough to keep every worker busy.
+  // A popped batch starts when a worker reaches it in the pool's
+  // first-in-first-out queue, so tasks that running batches queued before
+  // it run first: the chunks of a multi-chunk batch fanned out over the
+  // whole pool, or the row blocks of a GEMM inside a chunk.
   const std::size_t max_running = pool.size();
   for (;;) {
     std::vector<Pending> batch;
@@ -322,10 +333,12 @@ void SampleService::dispatcher_loop() {
       pool.submit([this, owned, batch_index] {
         run_batch(std::move(*owned), batch_index);
         // Under the lock, and no member access after it: the destructor
-        // frees the service once running_batches_ reads zero.
+        // frees the service once running_batches_ reads zero. The batch's
+        // jobs left the admission backlog, so blocked submitters recheck.
         const std::lock_guard lock(mutex_);
         --running_batches_;
         cv_work_.notify_one();
+        cv_space_.notify_all();
         cv_idle_.notify_all();
       });
     }

@@ -3,12 +3,15 @@
 // layer. Callers submit SampleJobs (model key, rows, seed, priority) and get
 // futures back; a dispatcher thread coalesces compatible jobs — same model
 // key — into batches and hands each batch to util::ThreadPool, up to one
-// batch in flight per pool worker, so while a worker is free a fast job
-// does not wait behind a slow model's batch. Each batch acquires its model once from the ModelHost and
-// fans its chunks out over the pool; sampling is const, so concurrent
-// batches of one key share the same instance. ServiceStats reports qps,
-// p50/p95 latency, rows/sec, queue depth, batching effectiveness, and the
-// host's cache hit rate.
+// batch in flight per pool worker. Each batch acquires its model once from
+// the ModelHost and fans its chunks out over the pool; sampling is const,
+// so concurrent batches of one key share the same instance. While a worker
+// is free, a fast job does not wait behind a slow batch that is a single
+// chunk or capped at one thread; a multi-chunk slow batch queues its chunk
+// tasks in the pool's first-in-first-out queue, and a later batch starts
+// only when a worker reaches it. ServiceStats reports qps, p50/p95
+// latency, rows/sec, queue depth, batching effectiveness, and the host's
+// cache hit rate.
 //
 // Rule: no global-pool task may block on a SampleService future — batches
 // run on that pool, so a pool full of such waiters would starve them.
@@ -78,9 +81,10 @@ enum class AdmissionPolicy {
   /// never enters the queue.
   kReject,
   /// Admit the new job by dropping the lowest-priority queued job (ties
-  /// drop the newest). When the *incoming* job is the weakest, it is the
-  /// one refused — submit() throws ServiceError{kShed}, counted under
-  /// `rejected` (it was never admitted). Shed *queued* jobs fail their
+  /// drop the newest). When the *incoming* job is the weakest, or nothing
+  /// is queued (in-flight jobs are never shed), it is the one refused —
+  /// submit() throws ServiceError{kShed}, counted under `rejected` (it was
+  /// never admitted). Shed *queued* jobs fail their
   /// futures with ServiceError{kShed} and count under `shed`.
   kShed,
 };
@@ -101,12 +105,17 @@ struct ServiceConfig {
   std::size_t max_batch = 8;
   /// Completed-job latencies retained for the percentile window.
   std::size_t latency_window = 4096;
-  /// Admission control. Bounds apply to the *queued* backlog (jobs not yet
-  /// dispatched); 0 = unbounded, which preserves the pre-overload-control
-  /// behavior. An empty queue always admits — even a job larger than
-  /// max_queued_rows — so no job is unserveable by configuration.
+  /// Admission control; 0 = unbounded, which preserves the
+  /// pre-overload-control behavior. max_queue_depth bounds the backlog:
+  /// queued jobs plus in-flight jobs beyond the first, since concurrent
+  /// batches share the pool with every job in flight. With one job in
+  /// flight that is just the queue; a full service holds at most
+  /// max_queue_depth + 1 unfinished jobs on any pool size. max_queued_rows
+  /// bounds the rows of queued jobs only. An idle service always admits,
+  /// and an empty queue always passes the row bound — even a job larger
+  /// than max_queued_rows — so no job is unserveable by configuration.
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  std::size_t max_queue_depth = 0;  ///< max queued jobs (0 = unbounded)
+  std::size_t max_queue_depth = 0;  ///< max backlog jobs (0 = unbounded)
   std::size_t max_queued_rows = 0;  ///< max queued rows (0 = unbounded)
 };
 
@@ -314,8 +323,8 @@ class SampleService : public SampleBackend {
   void run_batch(std::vector<Pending> batch,
                  std::uint64_t batch_index) noexcept;
   void record_done_locked(const BatchItem& item, Outcome outcome);
-  /// True when the queued backlog is at a configured bound for a job of
-  /// `rows` more rows (caller holds the lock; empty queue always admits).
+  /// True when the backlog is at a configured bound for a job of `rows`
+  /// more rows (caller holds the lock; an idle service always admits).
   [[nodiscard]] bool over_bounds_locked(std::size_t rows) const;
 
   ModelHost& host_;
@@ -327,7 +336,7 @@ class SampleService : public SampleBackend {
                                       // finished / stop
   std::condition_variable cv_idle_;   // drain(), ~SampleService: a job or
                                       // batch finished
-  std::condition_variable cv_space_;  // blocked submit(): queue shrank
+  std::condition_variable cv_space_;  // blocked submit(): backlog shrank
   std::deque<Pending> queue_;
   std::size_t queued_rows_ = 0;  // rows in queue_ (admission accounting)
   std::size_t in_flight_ = 0;  // jobs popped but not yet fulfilled

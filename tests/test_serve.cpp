@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -161,6 +162,20 @@ class GatedGenerator final : public models::TabularGenerator {
   mutable std::atomic<int> entered_{0};
   std::latch gate_{1};
   std::atomic<bool> released_{false};
+};
+
+/// A GatedGenerator over a small fitted SMOTE.
+std::shared_ptr<GatedGenerator> make_gated() {
+  auto inner = models::make_generator("smote", tiny_budget(), 7);
+  inner->fit(cluster_table(300, 21));
+  return std::make_shared<GatedGenerator>(std::move(inner));
+}
+
+/// Opens the gate on every way out of a test. Declared after the service,
+/// so it runs before the service drains: a failure reports, not hangs.
+struct OpenGateOnExit {
+  GatedGenerator& gate;
+  ~OpenGateOnExit() { gate.release(); }
 };
 
 // ---------------------------------------------------------- script parsing --
@@ -485,19 +500,12 @@ TEST(SampleService, FastJobsOvertakeABlockedSlowBatch) {
   }
   TempDir dir;
   const auto smote_path = fit_and_archive(dir, "smote");
-  auto inner = models::make_generator("smote", tiny_budget(), 7);
-  inner->fit(cluster_table(300, 21));
-  auto gated = std::make_shared<GatedGenerator>(std::move(inner));
+  auto gated = make_gated();
   ModelHost host;
   host.register_archive("smote", smote_path);
   host.register_fitted("slow", gated);
   SampleService service(host);
-  // Opens the gate on every way out of this test, before the service
-  // drains, so a failure reports instead of hanging.
-  struct OpenGate {
-    GatedGenerator& gate;
-    ~OpenGate() { gate.release(); }
-  } open_gate{*gated};
+  const OpenGateOnExit open_gate{*gated};
 
   auto slow = service.submit(SampleJob{"slow", 64, 1});
   ASSERT_TRUE(wait_until([&] { return gated->entered() >= 1; }));
@@ -733,6 +741,117 @@ TEST(AdmissionControl, RowBoundAppliesButEmptyQueueAlwaysAdmits) {
   service.resume();
   EXPECT_EQ(big.get().table.num_rows(), 400u);
   EXPECT_EQ(service.stats().queued_rows, 0u);
+}
+
+TEST(AdmissionControl, InFlightJobsCountTowardTheDepthBound) {
+  // Batches run concurrently, so the depth bound counts in-flight jobs
+  // beyond the first: with every admitted job held inside the model, a
+  // service bounded at one backlog job admits exactly two, whatever the
+  // pool size.
+  auto gated = make_gated();
+  ModelHost host;
+  host.register_fitted("slow", gated);
+  ServiceConfig cfg;
+  cfg.admission = AdmissionPolicy::kReject;
+  cfg.max_queue_depth = 1;
+  SampleService service(host, cfg);
+  const OpenGateOnExit open_gate{*gated};
+
+  const std::size_t workers = util::ThreadPool::global().size();
+  std::vector<std::future<SampleResult>> admitted;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < workers + 2; ++i) {
+    try {
+      admitted.push_back(service.submit(SampleJob{"slow", 32, i + 1}));
+      // Let the job reach the model when a worker is free for it.
+      const auto running =
+          static_cast<int>(std::min(admitted.size(), workers));
+      EXPECT_TRUE(wait_until([&] { return gated->entered() >= running; }));
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), ServiceError::Code::kOverloaded);
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(admitted.size(), 2u);
+  EXPECT_EQ(rejected, workers);
+  EXPECT_LE(service.queue_depth(), cfg.max_queue_depth + 1);
+
+  gated->release();
+  for (auto& f : admitted) EXPECT_EQ(f.get().table.num_rows(), 32u);
+}
+
+TEST(AdmissionControl, BlockedSubmitWakesWhenInFlightWorkFinishes) {
+  // A submitter blocked by in-flight jobs (not by the queue) must wake
+  // when their batches finish.
+  auto gated = make_gated();
+  ModelHost host;
+  host.register_fitted("slow", gated);
+  ServiceConfig cfg;
+  cfg.admission = AdmissionPolicy::kBlock;
+  cfg.max_queue_depth = 1;
+  std::atomic<bool> admitted{false};
+  std::thread submitter;
+  std::future<SampleResult> third;
+  {
+    SampleService service(host, cfg);
+    const OpenGateOnExit open_gate{*gated};
+    auto first = service.submit(SampleJob{"slow", 32, 1});
+    ASSERT_TRUE(wait_until([&] { return gated->entered() >= 1; }));
+    auto second = service.submit(SampleJob{"slow", 32, 2});  // backlog 0
+    submitter = std::thread([&] {
+      try {
+        third = service.submit(SampleJob{"slow", 32, 3});  // backlog 1
+        admitted.store(true);
+      } catch (const std::logic_error&) {
+        // Released by shutdown after a failed wait below.
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(admitted.load());
+    gated->release();
+    EXPECT_TRUE(wait_until([&] { return admitted.load(); }))
+        << "the blocked submit never woke";
+    EXPECT_EQ(first.get().table.num_rows(), 32u);
+    EXPECT_EQ(second.get().table.num_rows(), 32u);
+  }
+  submitter.join();
+  if (admitted.load()) EXPECT_EQ(third.get().table.num_rows(), 32u);
+}
+
+TEST(AdmissionControl, ShedNeverDropsInFlightJobs) {
+  // In-flight jobs count toward the bound but are never shed: with the
+  // whole backlog in flight, even a higher-priority newcomer is refused.
+  if (util::ThreadPool::global().size() < 2) {
+    GTEST_SKIP() << "needs at least two pool workers";
+  }
+  auto gated = make_gated();
+  ModelHost host;
+  host.register_fitted("slow", gated);
+  ServiceConfig cfg;
+  cfg.admission = AdmissionPolicy::kShed;
+  cfg.max_queue_depth = 1;
+  SampleService service(host, cfg);
+  const OpenGateOnExit open_gate{*gated};
+
+  auto first = service.submit(SampleJob{"slow", 32, 1});
+  ASSERT_TRUE(wait_until([&] { return gated->entered() >= 1; }));
+  auto second = service.submit(SampleJob{"slow", 32, 2});  // backlog 0
+  ASSERT_TRUE(wait_until([&] { return gated->entered() >= 2; }));
+  SampleJob urgent{"slow", 32, 3};
+  urgent.priority = 9;
+  try {
+    (void)service.submit(urgent);  // backlog 1, nothing queued to shed
+    FAIL() << "expected the incoming job to be refused";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), ServiceError::Code::kShed);
+  }
+
+  gated->release();
+  EXPECT_EQ(first.get().table.num_rows(), 32u);
+  EXPECT_EQ(second.get().table.num_rows(), 32u);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.rejected, 1u);
 }
 
 TEST(AdmissionControl, BlockPolicyBackpressuresUntilSpaceFrees) {

@@ -196,6 +196,41 @@ TEST(TaskGroup, ReusableAfterWait) {
   EXPECT_EQ(counter.load(), 100);
 }
 
+TEST(TaskGroup, StopTokenIsCooperativeAndResetsOnWait) {
+  ThreadPool pool(2);
+  TaskGroup group;
+  EXPECT_FALSE(group.stop_requested());
+
+  // Tasks poll the flag and bail; the flag never prevents queued tasks
+  // from *running* — cancellation is cooperative.
+  std::atomic<int> ran{0};
+  std::atomic<int> bailed{0};
+  for (int i = 0; i < 32; ++i) {
+    pool.submit(group, [&] {
+      if (group.stop_requested()) {
+        bailed.fetch_add(1);
+      } else {
+        ran.fetch_add(1);
+        if (ran.load() >= 4) group.request_stop();
+      }
+    });
+  }
+  pool.wait(group);
+  EXPECT_EQ(ran.load() + bailed.load(), 32);
+  EXPECT_GE(ran.load(), 4);
+
+  // wait() reset the flag, so the group is reusable for a fresh batch.
+  EXPECT_FALSE(group.stop_requested());
+  std::atomic<int> second{0};
+  for (int i = 0; i < 8; ++i) {
+    pool.submit(group, [&] {
+      if (!group.stop_requested()) second.fetch_add(1);
+    });
+  }
+  pool.wait(group);
+  EXPECT_EQ(second.load(), 8);
+}
+
 TEST(TaskGroup, ThrowingTaskPropagatesWithoutWedgingPool) {
   ThreadPool pool(2);
   TaskGroup group;
