@@ -54,8 +54,9 @@ inline HarnessOptions parse_options(int argc, char** argv,
   return opts;
 }
 
-/// Experiment configuration per profile. The medium profile is the default
-/// used by the recorded EXPERIMENTS.md runs.
+/// Experiment configuration per profile. The medium profile is the default,
+/// and the one whose Table I scores benchmark/table1_reference.tsv records
+/// (see benchmark/README.md).
 inline eval::ExperimentConfig experiment_config(Profile profile) {
   if (profile == Profile::kQuick) {
     auto cfg = eval::quick_experiment_config();

@@ -1,51 +1,11 @@
 #include "core/pipeline.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
 namespace surro::core {
 
-namespace {
-/// Per-process pipeline counter, so every instance gets a distinct
-/// ModelHost key ("pipeline#1", "pipeline#2", ...).
-std::uint64_t next_pipeline_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ++counter;
-}
-}  // namespace
-
 SurrogatePipeline::SurrogatePipeline(PipelineConfig cfg)
-    : cfg_(std::move(cfg)),
-      host_key_("pipeline#" + std::to_string(next_pipeline_id())) {
-  // Touch the serving stack now: function-local statics are destroyed in
-  // reverse construction order, so constructing it before (or during) any
-  // pipeline's lifetime guarantees ~SurrogatePipeline's unhost() never
-  // runs against an already-destroyed host — even for static pipelines.
-  (void)serve::global_serving();
-}
-
-SurrogatePipeline::~SurrogatePipeline() { unhost(); }
-
-void SurrogatePipeline::ensure_hosted() {
-  const std::lock_guard lock(host_mutex_);  // sample() may race itself
-  if (hosted_) return;
-  // Pinned: there is no archive behind this entry, so eviction would lose
-  // the model. Pinned entries may exceed the host capacity by design.
-  serve::global_serving().host.register_fitted(host_key_, model_,
-                                               /*pin=*/true);
-  hosted_ = true;
-}
-
-void SurrogatePipeline::unhost() noexcept {
-  const std::lock_guard lock(host_mutex_);
-  if (!hosted_) return;
-  try {
-    serve::global_serving().host.unregister(host_key_);
-  } catch (...) {
-    // Teardown path: the host is unavailable only during process exit.
-  }
-  hosted_ = false;
-}
+    : cfg_(std::move(cfg)) {}
 
 void SurrogatePipeline::fit(const models::FitOptions& opts) {
   if (fitted_) throw std::logic_error("pipeline: fit called twice");
@@ -87,22 +47,9 @@ tabular::Table SurrogatePipeline::sample(std::size_t rows,
 tabular::Table SurrogatePipeline::sample(
     const models::SampleRequest& request) {
   if (!fitted_) throw std::logic_error("pipeline: sample before fit");
-  if (request.chunk_rows == 0) {
-    throw std::invalid_argument("pipeline: chunk_rows must be positive");
-  }
-  ensure_hosted();
-
-  // Thin client: the request becomes a SampleJob on the shared service.
-  // Thread semantics line up (0 = whole pool, 1 = serial), and the chunk
-  // partition is the job's own, so the bytes match a direct sample_into.
-  serve::SampleJob job;
-  job.model_key = host_key_;
-  job.rows = request.rows;
-  job.seed = request.seed;
-  job.chunk_rows = request.chunk_rows;
-  job.threads = request.threads;
-  job.on_progress = request.on_progress;
-  return serve::global_serving().service.sample(std::move(job));
+  tabular::Table out;
+  model_->sample_into(out, request);
+  return out;
 }
 
 metrics::ModelScore SurrogatePipeline::evaluate(
@@ -121,7 +68,6 @@ void SurrogatePipeline::save_model(std::ostream& os) const {
 }
 
 void SurrogatePipeline::load_model(std::istream& is) {
-  unhost();  // the key must serve the *new* model from now on
   model_ = models::load_model(is);
   fitted_ = true;
 }

@@ -10,24 +10,17 @@
 // paper's recommendation) rather than the whole comparison. Models are
 // addressed by registry key and a fitted model can be persisted with
 // save_model()/load_model() so one training run serves many synthesis calls.
-//
-// Since the serving redesign the pipeline is a *thin client* of
-// src/serve/: it registers its fitted model with the process-wide
-// serve::ModelHost under a per-instance key and routes every sample() call
-// through the shared serve::SampleService as a SampleJob — so façade users
-// automatically share the batching dispatcher (and its stats) with every
-// other in-process caller. The determinism contract is unchanged: output
-// bytes depend only on (model, rows, seed, chunk_rows).
+// sample() calls the model's sample_into directly, so output bytes depend
+// only on (model, rows, seed, chunk_rows) — the same bytes a
+// serve::SampleService job with those values returns.
 
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
 #include "eval/experiment.hpp"
 #include "models/generator.hpp"
-#include "serve/sample_service.hpp"
 
 namespace surro::core {
 
@@ -44,12 +37,6 @@ struct PipelineConfig {
 class SurrogatePipeline {
  public:
   explicit SurrogatePipeline(PipelineConfig cfg = {});
-  /// Unregisters this pipeline's model from the global ModelHost.
-  ~SurrogatePipeline();
-
-  // The pipeline's identity (its host key) is not transferable.
-  SurrogatePipeline(const SurrogatePipeline&) = delete;
-  SurrogatePipeline& operator=(const SurrogatePipeline&) = delete;
 
   /// Simulate the PanDA window, filter (Fig. 3(b)), split 80/20, and train
   /// the selected surrogate on the training partition. `opts` forwards
@@ -69,16 +56,9 @@ class SurrogatePipeline {
   /// Synthetic job records with the training schema and vocabularies.
   [[nodiscard]] tabular::Table sample(std::size_t rows,
                                       std::uint64_t seed = 1234);
-  /// Full-control variant: chunked, optionally parallel synthesis, served
-  /// as a SampleJob through the shared serve::SampleService (bitwise
-  /// identical to a direct sample_into with the same request).
+  /// Full-control variant: chunked, optionally parallel synthesis (the
+  /// model's sample_into with this request).
   [[nodiscard]] tabular::Table sample(const models::SampleRequest& request);
-
-  /// This pipeline's key in the global serve::ModelHost ("pipeline#N");
-  /// registered lazily on the first sample() after fit()/load_model().
-  [[nodiscard]] const std::string& host_key() const noexcept {
-    return host_key_;
-  }
 
   /// Score a synthetic table on all five metrics (against this pipeline's
   /// train/test partitions).
@@ -101,23 +81,14 @@ class SurrogatePipeline {
   [[nodiscard]] models::TabularGenerator& model();
 
  private:
-  /// Register model_ with the global host (replacing any prior
-  /// registration after fit()/load_model() swapped the model).
-  void ensure_hosted();
-  /// Drop the host registration (no-op when not registered).
-  void unhost() noexcept;
-
   PipelineConfig cfg_;
   bool fitted_ = false;      // a model is ready to sample
   bool has_data_ = false;    // fit() ran here (train/test available)
-  std::mutex host_mutex_;    // guards hosted_ (sample() may race itself)
-  bool hosted_ = false;      // model_ is registered under host_key_
-  std::string host_key_;     // per-instance ModelHost key
   panda::FilterFunnel funnel_;
   tabular::Table train_;
   tabular::Table test_;
   std::optional<double> train_mlef_;  // computed lazily for evaluate()
-  std::shared_ptr<models::TabularGenerator> model_;
+  std::unique_ptr<models::TabularGenerator> model_;
 };
 
 }  // namespace surro::core

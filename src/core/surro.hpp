@@ -15,13 +15,13 @@
 //   surro::eval     — end-to-end experiment + figure builders
 //   surro::sched    — event-driven multi-site scheduler simulator
 //   surro::serve    — the serving layer: ModelHost (string-keyed LRU cache
-//                     over fitted-model archives), SampleService (batched
-//                     async SampleJobs behind a bounded admission queue
-//                     with block/reject/shed policies, per-job deadlines,
-//                     and cooperative cancellation), request-script
-//                     replay, and the overload soak harness
+//                     over fitted-model archives), SampleService (async
+//                     SampleJobs, one pool task each, behind a bounded
+//                     admission queue with block/reject/shed policies,
+//                     per-job deadlines, and cooperative cancellation),
+//                     request-script replay, and the overload soak harness
 //   surro::core     — SurrogatePipeline high-level façade (this header's
-//                     namespace, a thin client of serve::) and version info
+//                     namespace) and version info
 
 #include "core/pipeline.hpp"
 #include "core/version.hpp"

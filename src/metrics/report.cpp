@@ -82,8 +82,9 @@ std::vector<std::string> check_paper_shape(
     return ok;
   };
   // The scale-robust core of Table I (these hold at paper scale and at the
-  // reduced profiles this repo runs; see EXPERIMENTS.md for the one
-  // finding — TVAE's collapse — that only emerges at full scale):
+  // reduced profiles this repo runs; TVAE's collapse only emerges at full
+  // scale). benchmark/table1_reference.tsv records the scores of the
+  // benchmark's medium-profile pass, and benchmark/README.md describes it:
   // 1. SMOTE tracks the training distribution best on every fidelity
   //    metric (it interpolates real records).
   check(smote->wd <= std::min({ddpm->wd, tvae->wd, gan->wd}) + 5e-3,

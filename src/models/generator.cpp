@@ -1,5 +1,6 @@
 #include "models/generator.hpp"
 
+#include <atomic>
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
@@ -46,6 +47,7 @@ void TabularGenerator::sample_into(tabular::Table& out,
   std::vector<tabular::Table> chunks(num_chunks);
   std::mutex progress_mutex;
   std::size_t rows_done = 0;
+  std::atomic<bool> stopped{false};
   // The partition and the per-chunk seeds are thread-count-independent, so
   // the output is too; sample_chunk is const, so every worker samples from
   // this one instance. request.threads caps the fan-out (0 = whole pool,
@@ -54,6 +56,11 @@ void TabularGenerator::sample_into(tabular::Table& out,
       0, num_chunks,
       [&](std::size_t first, std::size_t last) {
         for (std::size_t c = first; c < last; ++c) {
+          if (request.stop &&
+              (stopped.load(std::memory_order_relaxed) || request.stop())) {
+            stopped.store(true, std::memory_order_relaxed);
+            return;
+          }
           const std::size_t lo = c * request.chunk_rows;
           const std::size_t n = std::min(request.chunk_rows, request.rows - lo);
           chunks[c] = sample_chunk(n, derive_chunk_seed(request.seed, c));
@@ -65,6 +72,7 @@ void TabularGenerator::sample_into(tabular::Table& out,
         }
       },
       /*grain=*/1, request.threads);
+  if (stopped.load(std::memory_order_relaxed)) throw SampleStopped(name());
 
   for (std::size_t c = 0; c < num_chunks; ++c) {
     if (out.num_columns() == 0 && c == 0) {

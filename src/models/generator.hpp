@@ -73,6 +73,14 @@ struct FitOptions {
   }
 };
 
+/// Thrown by sample_into() when SampleRequest::stop returns true before a
+/// chunk; the output table is left untouched.
+class SampleStopped : public std::runtime_error {
+ public:
+  explicit SampleStopped(const std::string& model)
+      : std::runtime_error(model + ": sampling stopped") {}
+};
+
 /// How a fitted model absorbs a batch of newly collected rows (the
 /// streaming collection-window workload, src/stream/). Warm refresh
 /// continues training from the retained state — frozen encoder
@@ -108,6 +116,11 @@ struct SampleRequest {
   /// Called after each completed chunk with (rows_done, rows_total).
   /// Invoked under a lock — keep it cheap.
   std::function<void(std::size_t, std::size_t)> on_progress;
+  /// Cooperative stop, the sampling counterpart of FitOptions::cancel.
+  /// Polled before every chunk, possibly from several workers at once; once
+  /// it returns true the remaining chunks are skipped and sample_into()
+  /// throws SampleStopped. Empty = never stop.
+  std::function<bool()> stop;
 };
 
 /// Stable derivation of chunk seeds: SplitMix64 over (seed, chunk index) so
@@ -177,7 +190,8 @@ class TabularGenerator {
   /// training schema). Splits the request into chunk_rows-sized chunks with
   /// derived per-chunk seeds and runs them on util::ThreadPool when
   /// request.threads != 1, every chunk on this one instance; output is
-  /// bitwise identical for every thread count.
+  /// bitwise identical for every thread count. Throws SampleStopped, with
+  /// `out` untouched, when request.stop trips.
   void sample_into(tabular::Table& out, const SampleRequest& request) const;
 
   /// Convenience wrapper over sample_into with default chunking, serial.

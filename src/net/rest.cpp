@@ -455,7 +455,6 @@ HttpResponse RestApi::handle_job_get(const HttpRequest& request,
   w.kv("seed", std::to_string(entry->params.seed));
   w.kv("chunk_rows", static_cast<std::uint64_t>(entry->params.chunk_rows));
   w.kv("cache_hit", entry->result.cache_hit);
-  w.kv("batch_jobs", static_cast<std::uint64_t>(entry->result.batch_jobs));
   w.kv("queue_seconds", entry->result.queue_seconds);
   w.kv("sample_seconds", entry->result.sample_seconds);
   w.kv("total_seconds", entry->result.total_seconds);
@@ -537,7 +536,6 @@ std::string RestApi::stats_json() {
   w.kv("queue_depth", static_cast<std::uint64_t>(stats.queue_depth));
   w.kv("queued_rows", static_cast<std::uint64_t>(stats.queued_rows));
   w.kv("batches", stats.batches);
-  w.kv("mean_batch_jobs", stats.mean_batch_jobs);
   w.kv("qps", stats.qps);
   w.kv("rows_per_sec", stats.rows_per_sec);
   w.kv("rejected", stats.rejected);

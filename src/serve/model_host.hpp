@@ -10,7 +10,7 @@
 //     evictable; a later acquire() transparently reloads. Archives are
 //     deterministic, so an evict/reload cycle samples bitwise identically.
 //   * in-memory (register_fitted): a fitted instance handed over by the
-//     caller (e.g. core::SurrogatePipeline registering its own model).
+//     caller (e.g. a model fitted in the same process).
 //     Pinned by default — there is no archive to reload from, so eviction
 //     would lose it; unpinned in-memory entries *can* be evicted, after
 //     which acquire() throws.

@@ -190,7 +190,6 @@ ServiceStats RemoteShard::stats() const {
     out.queue_depth = static_cast<std::size_t>(svc.number_or("queue_depth", 0));
     out.queued_rows = static_cast<std::size_t>(svc.number_or("queued_rows", 0));
     out.batches = u64("batches");
-    out.mean_batch_jobs = svc.number_or("mean_batch_jobs", 0.0);
     out.uptime_seconds = doc.number_or("uptime_seconds", 0.0);
     out.qps = svc.number_or("qps", 0.0);
     out.rows_per_sec = svc.number_or("rows_per_sec", 0.0);

@@ -295,7 +295,6 @@ std::string serve_stats_to_json(const SampleBackend& service,
   w.kv("capacity", s.host.capacity);
   w.kv("sample_threads", cfg.sample_threads);
   w.kv("chunk_rows", cfg.chunk_rows);
-  w.kv("max_batch", cfg.max_batch);
   w.kv("admission", admission_policy_name(cfg.admission));
   w.kv("max_queue_depth", cfg.max_queue_depth);
   w.kv("max_queued_rows", cfg.max_queued_rows);
@@ -337,7 +336,6 @@ std::string serve_stats_to_json(const SampleBackend& service,
   w.kv("queue_depth", s.queue_depth);
   w.kv("queued_rows", s.queued_rows);
   w.kv("batches", s.batches);
-  w.kv("mean_batch_jobs", s.mean_batch_jobs);
   w.kv("qps", s.qps);
   w.end_object();
   w.key("cache").begin_object();

@@ -1,27 +1,28 @@
 #pragma once
-// SampleService: the asynchronous, batched consumption API of the serving
-// layer. Callers submit SampleJobs (model key, rows, seed, priority) and get
-// futures back; a dispatcher thread coalesces compatible jobs — same model
-// key — into batches and hands each batch to util::ThreadPool, up to one
-// batch in flight per pool worker. Each batch acquires its model once from
-// the ModelHost and fans its chunks out over the pool; sampling is const,
-// so concurrent batches of one key share the same instance. While a worker
-// is free, a fast job does not wait behind a slow batch that is a single
-// chunk or capped at one thread; a multi-chunk slow batch queues its chunk
-// tasks in the pool's first-in-first-out queue, and a later batch starts
-// only when a worker reaches it. ServiceStats reports qps, p50/p95
-// latency, rows/sec, queue depth, batching effectiveness, and the host's
-// cache hit rate.
+// SampleService: the asynchronous consumption API of the serving layer.
+// Callers submit SampleJobs (model key, rows, seed, priority) and get
+// futures back. Each admitted job runs as one util::ThreadPool task, in
+// strict priority order, with at most one job in flight per pool worker.
+// The task acquires the job's model from the ModelHost and runs
+// TabularGenerator::sample_into with the job's own chunk grain, thread cap
+// and progress hook; sampling is const, so concurrent jobs of one key share
+// the same instance. Dispatch happens inline under the service lock —
+// when a job is submitted, a job finishes, the service resumes or it shuts
+// down — so the service owns no thread. While a worker is free, a fast job
+// does not wait behind a slow job that is a single chunk or capped at one
+// thread; a multi-chunk slow job queues its chunk tasks in the pool's
+// first-in-first-out queue, and a later job starts only when a worker
+// reaches it. ServiceStats reports qps, p50/p95 latency, rows/sec, queue
+// depth, and the host's cache hit rate.
 //
-// Rule: no global-pool task may block on a SampleService future — batches
-// run on that pool, so a pool full of such waiters would starve them.
+// Rule: no global-pool task may block on a SampleService future — jobs run
+// on that pool, so a pool full of such waiters would starve them.
 //
-// Determinism contract (inherited from TabularGenerator::sample_into and
-// preserved end to end): a job's output bytes depend only on
-// (model, rows, seed, chunk_rows). The chunk partition is computed per job
-// — chunk c draws from models::derive_chunk_seed(seed, c) — so batching,
-// client concurrency, worker count, priority order, and cache
-// eviction/reload cycles never change what a given job returns.
+// Determinism contract (inherited from TabularGenerator::sample_into, which
+// every job runs): a job's output bytes depend only on
+// (model, rows, seed, chunk_rows), so client concurrency, worker count,
+// priority order, and cache eviction/reload cycles never change what a
+// given job returns.
 
 #include <atomic>
 #include <condition_variable>
@@ -34,7 +35,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/latency_window.hpp"
@@ -95,20 +95,18 @@ enum class AdmissionPolicy {
 [[nodiscard]] AdmissionPolicy parse_admission_policy(const std::string& name);
 
 struct ServiceConfig {
-  /// Worker fan-out per batch (0 = every pool worker). Scheduling only:
+  /// Worker fan-out per job (0 = every pool worker). Scheduling only:
   /// output bytes are identical for any value.
   std::size_t sample_threads = 0;
   /// Default chunk grain for jobs that leave SampleJob::chunk_rows at 0.
   /// Part of the determinism key — changing it changes the chunk partition.
   std::size_t chunk_rows = 4096;
-  /// Maximum jobs coalesced into one batch.
-  std::size_t max_batch = 8;
   /// Completed-job latencies retained for the percentile window.
   std::size_t latency_window = 4096;
   /// Admission control; 0 = unbounded, which preserves the
   /// pre-overload-control behavior. max_queue_depth bounds the backlog:
   /// queued jobs plus in-flight jobs beyond the first, since concurrent
-  /// batches share the pool with every job in flight. With one job in
+  /// jobs share the pool with every job in flight. With one job in
   /// flight that is just the queue; a full service holds at most
   /// max_queue_depth + 1 unfinished jobs on any pool size. max_queued_rows
   /// bounds the rows of queued jobs only. An idle service always admits,
@@ -128,16 +126,17 @@ struct SampleJob {
   /// 0 = ServiceConfig::chunk_rows. Determines the chunk partition (and
   /// therefore the output bytes), exactly like SampleRequest::chunk_rows.
   std::size_t chunk_rows = 0;
-  /// 0 = ServiceConfig::sample_threads. Scheduling only. When jobs with
-  /// different values share a batch, the largest request wins.
+  /// 0 = ServiceConfig::sample_threads. Scheduling only, like
+  /// SampleRequest::threads.
   std::size_t threads = 0;
   int priority = 0;
   /// Soft deadline in milliseconds from submission (0 = none). Checked
-  /// when the job is dispatched and again at every chunk boundary: a job
-  /// whose deadline passes while queued or mid-sampling fails its future
-  /// with ServiceError{kDeadline} and its partial chunks are discarded. A
-  /// job whose final chunk finishes before the check is delivered — the
-  /// deadline bounds *work spent past the limit*, not delivery time.
+  /// when the job is dispatched, when its task starts, and at every chunk
+  /// boundary: a job whose deadline passes while queued or mid-sampling
+  /// fails its future with ServiceError{kDeadline} and its partial chunks
+  /// are discarded. A job whose final chunk finishes before the check is
+  /// delivered — the deadline bounds *work spent past the limit*, not
+  /// delivery time.
   double deadline_ms = 0.0;
   /// Called after each completed chunk with (rows_done, rows_total) for
   /// this job. Invoked under a lock from a worker thread — keep it cheap.
@@ -148,12 +147,11 @@ struct SampleJob {
 struct SampleResult {
   tabular::Table table;
   std::string model_key;
-  double queue_seconds = 0.0;   ///< submit → batch dispatch
-  double sample_seconds = 0.0;  ///< batch dispatch → job assembled
-  double total_seconds = 0.0;   ///< submit → job assembled
-  std::size_t batch_jobs = 0;   ///< jobs coalesced into this job's batch
-  std::uint64_t batch_index = 0;  ///< dispatch sequence number of the batch
-  bool cache_hit = false;       ///< model was resident when dispatched
+  double queue_seconds = 0.0;   ///< submit → job task start
+  double sample_seconds = 0.0;  ///< job task start → job sampled
+  double total_seconds = 0.0;   ///< submit → job sampled
+  std::uint64_t dispatch_index = 0;  ///< dispatch sequence number (from 1)
+  bool cache_hit = false;       ///< model was resident when the task began
 };
 
 /// Rolled-up service health, cheap enough to poll every request.
@@ -166,8 +164,7 @@ struct ServiceStats {
   std::uint64_t failed = 0;      ///< futures failed with an execution error
   std::size_t queue_depth = 0;   ///< submitted jobs not yet finished
   std::size_t queued_rows = 0;   ///< rows in not-yet-dispatched jobs
-  std::uint64_t batches = 0;     ///< batches dispatched
-  double mean_batch_jobs = 0.0;  ///< completed jobs per batch
+  std::uint64_t batches = 0;     ///< jobs dispatched, one pool task each
   double uptime_seconds = 0.0;
   double qps = 0.0;              ///< completed / uptime
   double rows_per_sec = 0.0;     ///< rows emitted / uptime
@@ -257,7 +254,7 @@ class SampleService : public SampleBackend {
  public:
   /// The host must outlive the service.
   explicit SampleService(ModelHost& host, ServiceConfig cfg = {});
-  /// Drains already-queued jobs, then stops the dispatcher.
+  /// Runs already-queued jobs to completion, then returns.
   ~SampleService() override;
 
   SampleService(const SampleService&) = delete;
@@ -268,8 +265,8 @@ class SampleService : public SampleBackend {
   void drain() override;
 
   /// Hold/resume dispatching. While paused, submit() still queues; used to
-  /// stage a burst so batching and priority order are deterministic (tests,
-  /// replay warm-up).
+  /// stage a burst so dispatch order is deterministic (tests, replay
+  /// warm-up).
   void pause();
   void resume();
 
@@ -301,28 +298,19 @@ class SampleService : public SampleBackend {
     std::uint64_t seq = 0;      // doubles as the public job id
     double submitted_at = 0.0;  // seconds on the service clock
     double deadline_at = 0.0;   // service-clock seconds; +inf = none
-    /// Set by cancel(); chunk workers poll it at chunk boundaries.
+    /// Set by cancel(); the job's stop predicate polls it.
     std::shared_ptr<std::atomic<bool>> cancel_flag;
   };
-  /// One job's slice of a dispatched batch.
-  struct BatchItem {
-    Pending pending;
-    std::size_t chunk_rows = 0;           // resolved grain
-    std::vector<tabular::Table> chunks;   // per-chunk outputs, in order
-    std::size_t rows_done = 0;            // progress accounting
-  };
-  /// How an admitted job resolved (record_done_locked bookkeeping).
-  enum class Outcome { kOk, kFailed, kCancelled, kDeadline };
 
-  void dispatcher_loop();
-  /// Pop the next batch (caller holds the lock): the highest-priority job
-  /// plus up to max_batch-1 more jobs with the same model key.
-  [[nodiscard]] std::vector<Pending> pop_batch_locked();
-  /// Sample one popped batch and resolve its futures (runs on the pool).
-  /// Every failure lands on the batch's futures, never on the pool.
-  void run_batch(std::vector<Pending> batch,
-                 std::uint64_t batch_index) noexcept;
-  void record_done_locked(const BatchItem& item, Outcome outcome);
+  /// Hand queued jobs to the pool, best first (priority descending, then
+  /// submission order), while dispatch is not paused (a stopping service
+  /// overrides the pause) and fewer than pool.size() jobs are in flight.
+  /// Queued jobs whose deadline passed move to `expired`, already counted;
+  /// the caller fails them after unlocking (caller holds the lock).
+  void dispatch_locked(std::vector<Pending>& expired);
+  /// One job's pool task: sample it and resolve its future. Every failure
+  /// lands on the future, never on the pool.
+  void run_job(Pending pending, std::uint64_t dispatch_index) noexcept;
   /// True when the backlog is at a configured bound for a job of `rows`
   /// more rows (caller holds the lock; an idle service always admits).
   [[nodiscard]] bool over_bounds_locked(std::size_t rows) const;
@@ -332,15 +320,12 @@ class SampleService : public SampleBackend {
   util::Stopwatch clock_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_work_;   // dispatcher: job queued / batch
-                                      // finished / stop
-  std::condition_variable cv_idle_;   // drain(), ~SampleService: a job or
-                                      // batch finished
+  std::condition_variable cv_idle_;   // drain(), ~SampleService: a job
+                                      // finished or left the queue
   std::condition_variable cv_space_;  // blocked submit(): backlog shrank
   std::deque<Pending> queue_;
   std::size_t queued_rows_ = 0;  // rows in queue_ (admission accounting)
-  std::size_t in_flight_ = 0;  // jobs popped but not yet fulfilled
-  std::size_t running_batches_ = 0;  // batches handed to the pool, not done
+  std::size_t in_flight_ = 0;  // jobs handed to the pool, not yet resolved
   std::size_t submit_waiters_ = 0;  // submits parked on backpressure
   bool paused_ = false;
   bool stop_ = false;
@@ -358,24 +343,9 @@ class SampleService : public SampleBackend {
   std::uint64_t cancelled_ = 0;
   std::uint64_t deadline_missed_ = 0;
   std::uint64_t blocked_ = 0;
-  std::uint64_t batches_ = 0;
-  std::uint64_t batched_jobs_ = 0;
+  std::uint64_t batches_ = 0;  // jobs dispatched (ServiceStats::batches)
   std::uint64_t rows_emitted_ = 0;
   LatencyWindow latency_;
-
-  std::thread dispatcher_;  // last member: starts after everything exists
 };
-
-/// The process-wide serving stack: one ModelHost + one SampleService over
-/// the global ThreadPool, shared by every core::SurrogatePipeline (which
-/// registers its fitted model here and samples through the service).
-/// Constructed lazily on first use; the global ThreadPool is constructed
-/// first so it outlives the service's dispatcher.
-struct ServingStack {
-  ServingStack();
-  ModelHost host;
-  SampleService service;
-};
-[[nodiscard]] ServingStack& global_serving();
 
 }  // namespace surro::serve

@@ -258,7 +258,6 @@ ServiceStats ShardPool::stats() const {
   ServiceStats agg;
   std::vector<double> window;
   double rows_weighted = 0.0;
-  std::uint64_t batched_jobs = 0;
   for (const auto& shard : shards_) {
     const ServiceStats s = shard.backend->stats();
     agg.submitted += s.submitted;
@@ -272,8 +271,6 @@ ServiceStats ShardPool::stats() const {
     agg.queue_depth += s.queue_depth;
     agg.queued_rows += s.queued_rows;
     agg.batches += s.batches;
-    batched_jobs += static_cast<std::uint64_t>(
-        s.mean_batch_jobs * static_cast<double>(s.batches) + 0.5);
     agg.uptime_seconds = std::max(agg.uptime_seconds, s.uptime_seconds);
     rows_weighted += s.rows_per_sec * s.uptime_seconds;
     agg.host.registered += s.host.registered;
@@ -296,10 +293,6 @@ ServiceStats ShardPool::stats() const {
       window.insert(window.end(), shard_window.begin(), shard_window.end());
     }
   }
-  agg.mean_batch_jobs = agg.batches == 0
-                            ? 0.0
-                            : static_cast<double>(batched_jobs) /
-                                  static_cast<double>(agg.batches);
   agg.qps = agg.uptime_seconds > 0.0
                 ? static_cast<double>(agg.completed) / agg.uptime_seconds
                 : 0.0;

@@ -67,8 +67,8 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
   // ---- Expected digests: sample every (model, stream) identity directly,
   // single-threaded, outside any service. This is the ground truth each
   // accepted job is compared against — the determinism contract says
-  // serving machinery (batching, rejection storms, eviction/reload) must
-  // never move a job's bytes off this table.
+  // serving machinery (dispatch order, rejection storms, eviction/reload)
+  // must never move a job's bytes off this table.
   std::vector<std::vector<std::uint64_t>> expected(num_models);
   for (std::size_t m = 0; m < num_models; ++m) {
     const auto model = host.acquire(cfg.models[m]);
@@ -109,7 +109,6 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     ServiceConfig calib_cfg;
     calib_cfg.sample_threads = cfg.sample_threads;
     calib_cfg.chunk_rows = cfg.chunk_rows;
-    calib_cfg.max_batch = cfg.max_batch;
     SampleService calibration(host, calib_cfg);
     const std::size_t jobs =
         std::max<std::size_t>(cfg.clients * kCalibrationJobsPerClient, 1);
@@ -147,7 +146,6 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
   ServiceConfig svc_cfg;
   svc_cfg.sample_threads = cfg.sample_threads;
   svc_cfg.chunk_rows = cfg.chunk_rows;
-  svc_cfg.max_batch = cfg.max_batch;
   svc_cfg.admission = cfg.admission;
   svc_cfg.max_queue_depth = cfg.effective_queue_depth();
   svc_cfg.max_queued_rows = cfg.max_queued_rows;
@@ -478,7 +476,6 @@ std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
   w.kv("max_queue_depth", cfg.effective_queue_depth());
   w.kv("max_queued_rows", cfg.max_queued_rows);
   w.kv("sample_threads", cfg.sample_threads);
-  w.kv("max_batch", cfg.max_batch);
   w.kv("over_socket", cfg.over_socket);
   w.kv("shards", cfg.shards);
   w.kv("replicas", cfg.replicas);
@@ -531,7 +528,6 @@ std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
   w.kv("deadline_missed", s.deadline_missed);
   w.kv("blocked", s.blocked);
   w.kv("batches", s.batches);
-  w.kv("mean_batch_jobs", s.mean_batch_jobs);
   w.end_object();
   w.key("cache").begin_object();
   w.kv("hits", s.host.hits);

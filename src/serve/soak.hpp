@@ -41,7 +41,6 @@ struct SoakConfig {
   std::size_t max_queue_depth = 0;  ///< 0 = clients (a shallow, SLO-friendly queue)
   std::size_t max_queued_rows = 0;  ///< 0 = unbounded
   std::size_t sample_threads = 0;   ///< ServiceConfig::sample_threads
-  std::size_t max_batch = 8;
   bool verbose = false;
 
   /// Drive the sweep over a loopback HTTP socket instead of in-process

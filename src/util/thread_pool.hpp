@@ -9,7 +9,7 @@
 // parallelism is safe — a pool worker running a sampling chunk may itself
 // call parallel_for (e.g. through GEMM) without deadlocking the pool. It
 // never picks up another group's (or an ungrouped) task, so a GEMM wait
-// inside one served batch cannot absorb a whole unrelated batch. parallel_for
+// inside one served job cannot absorb a whole unrelated job. parallel_for
 // falls back to a serial loop when the range is small or the pool has a
 // single worker, so call sites never special-case.
 

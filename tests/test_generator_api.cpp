@@ -1,7 +1,8 @@
 // Surrogate Model API v2: registry lookup/enumeration, fitted-model
 // persistence (save -> load -> sample round trips), chunked parallel
-// sampling equivalence, re-entrant sampling on one shared instance, and
-// fit progress/cancellation — for all four built-in models.
+// sampling equivalence, re-entrant sampling on one shared instance, fit
+// progress/cancellation and the sampling stop predicate — for all four
+// built-in models.
 
 #include <gtest/gtest.h>
 
@@ -293,6 +294,29 @@ TEST(SampleInto, ThrowingProgressCallbackDoesNotWedgeThePool) {
   EXPECT_EQ(retry.num_rows(), 300u);
 }
 
+TEST(SampleInto, StopSkipsRemainingChunksAndLeavesOutputUntouched) {
+  const auto train = cluster_table(200, 26);
+  auto model = make_generator("smote", tiny_budget(), 7);
+  model->fit(train);
+  constexpr std::size_t kChunks = 24;
+  for (const std::size_t threads : {1, 4}) {
+    SampleRequest request;
+    request.rows = kChunks * 16;
+    request.seed = 8;
+    request.chunk_rows = 16;
+    request.threads = threads;
+    std::atomic<std::size_t> ran{0};
+    request.on_progress = [&](std::size_t, std::size_t) { ran.fetch_add(1); };
+    request.stop = [&] { return ran.load() >= 2; };  // trips after 2 chunks
+    tabular::Table out;
+    EXPECT_THROW(model->sample_into(out, request), SampleStopped) << threads;
+    EXPECT_EQ(out.num_columns(), 0u) << threads;
+    EXPECT_EQ(out.num_rows(), 0u) << threads;
+    EXPECT_LT(ran.load(), kChunks) << threads;
+    if (threads == 1) EXPECT_EQ(ran.load(), 2u);
+  }
+}
+
 TEST_P(AllGeneratorsV2, SaveBeforeFitThrows) {
   auto model = make_generator(GetParam(), tiny_budget(), 7);
   std::stringstream buffer;
@@ -342,6 +366,34 @@ TEST(ModelArchive, PipelinePersistsFittedModel) {
   expect_tables_identical(pipe.sample(300, 77), served.sample(300, 77));
   // Loaded pipelines can sample but have no train/test partitions.
   EXPECT_THROW(static_cast<void>(served.train_table()), std::logic_error);
+}
+
+TEST(Pipeline, ParallelSampleMatchesSerialSampleIntoBitwise) {
+  core::PipelineConfig cfg;
+  cfg.experiment = eval::quick_experiment_config();
+  cfg.experiment.data.model.days = 8.0;
+  cfg.experiment.data.model.base_jobs_per_day = 120.0;
+  cfg.experiment.budget.epochs = 4;
+  cfg.model = "smote";
+  core::SurrogatePipeline pipe(cfg);
+  pipe.fit();
+
+  SampleRequest request;
+  request.rows = 250;
+  request.seed = 77;
+  request.chunk_rows = 64;
+  request.threads = 2;
+  const auto parallel = pipe.sample(request);
+
+  request.threads = 1;
+  tabular::Table direct;
+  pipe.model().sample_into(direct, request);
+  expect_tables_identical(direct, parallel);
+
+  SampleRequest bad;
+  bad.rows = 10;
+  bad.chunk_rows = 0;
+  EXPECT_THROW((void)pipe.sample(bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Serving layer: ModelHost LRU cache semantics (load-on-miss, pinning,
-// eviction, counters, fault injection), SampleService batching/priority/
-// stats plus the overload-control layer (admission policies, deadlines,
-// cancellation), request script parsing, replay determinism, and the
-// SurrogatePipeline thin client — including the headline contract: a job's
-// bytes are identical across client concurrency and cache eviction/reload
-// cycles, for all four models.
+// eviction, counters, fault injection), SampleService per-job dispatch/
+// priority/stats plus the overload-control layer (admission policies,
+// deadlines, cancellation), request script parsing, and replay determinism
+// — including the headline contract: a job's bytes are identical across
+// client concurrency and cache eviction/reload cycles, for all four models.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "serve/latency_window.hpp"
 #include "serve/model_host.hpp"
 #include "serve/replay.hpp"
@@ -126,12 +124,14 @@ bool wait_until(Pred done, std::chrono::milliseconds limit =
 }
 
 /// A fitted model whose sample_chunk blocks on a latch until release(),
-/// counting the calls that entered it: a slow model held mid-batch on
-/// demand. Sampling itself delegates to a fitted inner model.
+/// counting the calls that reached the gate: a slow model held mid-job on
+/// demand. With `gated_rows` set, only chunks of exactly that many rows are
+/// held. Sampling itself delegates to a fitted inner model.
 class GatedGenerator final : public models::TabularGenerator {
  public:
-  explicit GatedGenerator(std::unique_ptr<models::TabularGenerator> inner)
-      : inner_(std::move(inner)) {}
+  GatedGenerator(std::unique_ptr<models::TabularGenerator> inner,
+                 std::size_t gated_rows)
+      : inner_(std::move(inner)), gated_rows_(gated_rows) {}
 
   using TabularGenerator::fit;
   void fit(const tabular::Table&, const models::FitOptions&) override {
@@ -142,8 +142,10 @@ class GatedGenerator final : public models::TabularGenerator {
   [[nodiscard]] std::string name() const override { return "Gated"; }
   [[nodiscard]] tabular::Table sample_chunk(
       std::size_t n, std::uint64_t seed) const override {
-    entered_.fetch_add(1);
-    gate_.wait();
+    if (gated_rows_ == 0 || n == gated_rows_) {
+      entered_.fetch_add(1);
+      gate_.wait();
+    }
     return inner_->sample_chunk(n, seed);
   }
   void save(std::ostream&) const override {
@@ -159,16 +161,17 @@ class GatedGenerator final : public models::TabularGenerator {
 
  private:
   std::unique_ptr<models::TabularGenerator> inner_;
+  std::size_t gated_rows_;  // 0 = hold every chunk
   mutable std::atomic<int> entered_{0};
   std::latch gate_{1};
   std::atomic<bool> released_{false};
 };
 
 /// A GatedGenerator over a small fitted SMOTE.
-std::shared_ptr<GatedGenerator> make_gated() {
+std::shared_ptr<GatedGenerator> make_gated(std::size_t gated_rows = 0) {
   auto inner = models::make_generator("smote", tiny_budget(), 7);
   inner->fit(cluster_table(300, 21));
-  return std::make_shared<GatedGenerator>(std::move(inner));
+  return std::make_shared<GatedGenerator>(std::move(inner), gated_rows);
 }
 
 /// Opens the gate on every way out of a test. Declared after the service,
@@ -437,7 +440,10 @@ INSTANTIATE_TEST_SUITE_P(Keys, ServeAllModels,
                                            "tabddpm"),
                          [](const auto& info) { return info.param; });
 
-TEST(SampleService, CoalescesByModelAndDispatchesByPriority) {
+TEST(SampleService, DispatchesJobsInStrictPriorityOrder) {
+  // One dispatch per job, best first: a low-priority job that shares the
+  // best job's key does not ride ahead of a higher-priority job with
+  // another key.
   TempDir dir;
   const auto path = fit_and_archive(dir, "smote");
   HostConfig host_cfg;
@@ -448,52 +454,81 @@ TEST(SampleService, CoalescesByModelAndDispatchesByPriority) {
   SampleService service(host);
 
   service.pause();
-  std::vector<std::future<SampleResult>> low, high;
-  for (std::size_t i = 0; i < 3; ++i) {
-    SampleJob job{"a", 100, 10 + i};
-    low.push_back(service.submit(std::move(job)));
-  }
-  for (std::size_t i = 0; i < 2; ++i) {
-    SampleJob job{"b", 100, 20 + i};
-    job.priority = 5;
-    high.push_back(service.submit(std::move(job)));
-  }
+  SampleJob a5{"a", 100, 10};
+  a5.priority = 5;
+  auto a5_future = service.submit(a5);
+  auto a0_future = service.submit(SampleJob{"a", 100, 11});  // priority 0
+  SampleJob b3{"b", 100, 20};
+  b3.priority = 3;
+  auto b3_future = service.submit(b3);
   service.resume();
   service.drain();
 
-  std::vector<SampleResult> low_results, high_results;
-  for (auto& f : low) low_results.push_back(f.get());
-  for (auto& f : high) high_results.push_back(f.get());
-
-  for (const auto& r : high_results) {
-    EXPECT_EQ(r.batch_jobs, 2u);       // both "b" jobs in one batch
-    EXPECT_FALSE(r.cache_hit);         // first touch loads from archive
-    for (const auto& l : low_results) {
-      EXPECT_LT(r.batch_index, l.batch_index);  // priority 5 went first
-    }
-  }
-  for (const auto& r : low_results) {
-    EXPECT_EQ(r.batch_jobs, 3u);       // all "a" jobs coalesced
-    EXPECT_EQ(r.table.num_rows(), 100u);
+  const SampleResult a5_result = a5_future.get();
+  const SampleResult b3_result = b3_future.get();
+  const SampleResult a0_result = a0_future.get();
+  EXPECT_LT(a5_result.dispatch_index, b3_result.dispatch_index);
+  EXPECT_LT(b3_result.dispatch_index, a0_result.dispatch_index);
+  EXPECT_FALSE(a5_result.cache_hit);  // first touch loads from archive
+  EXPECT_FALSE(b3_result.cache_hit);
+  for (const auto* r : {&a5_result, &b3_result, &a0_result}) {
+    EXPECT_EQ(r->table.num_rows(), 100u);
   }
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.submitted, 5u);
-  EXPECT_EQ(stats.completed, 5u);
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_NEAR(stats.mean_batch_jobs, 2.5, 1e-12);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.batches, 3u);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_LE(stats.p50_latency_ms, stats.p95_latency_ms);
   EXPECT_TRUE(std::isfinite(stats.p50_latency_ms));
 
-  // Round two on resident models: every batch is a cache hit now.
+  // Round two on a resident model: a cache hit now.
   auto again = service.submit(SampleJob{"a", 50, 1});
   EXPECT_TRUE(again.get().cache_hit);
 }
 
-TEST(SampleService, FastJobsOvertakeABlockedSlowBatch) {
-  // Batches run concurrently on the pool: while one batch is stuck inside
-  // a slow model, a job for another model completes, and a second batch of
+TEST(SampleService, OneChunkJobResolvesWhileASameKeyLongJobIsHeld) {
+  // Jobs are not coalesced: a 1-chunk job staged beside a 10-chunk job of
+  // the same key resolves while the long job's chunks are held.
+  if (util::ThreadPool::global().size() < 2) {
+    GTEST_SKIP() << "needs at least two pool workers";
+  }
+  auto gated = make_gated(/*gated_rows=*/64);
+  ModelHost host;
+  host.register_fitted("slow", gated);
+  SampleService service(host);
+  const OpenGateOnExit open_gate{*gated};
+
+  service.pause();
+  SampleJob long_job{"slow", 640, 1};
+  long_job.chunk_rows = 64;  // 10 chunks, each held at the gate
+  // Serial, so the long job queues no chunk tasks ahead of the short job's
+  // task in the pool's FIFO.
+  long_job.threads = 1;
+  auto long_future = service.submit(long_job);
+  SampleJob short_job{"slow", 32, 2};  // one 32-row chunk: never held
+  short_job.chunk_rows = 64;
+  auto short_future = service.submit(short_job);
+  service.resume();
+
+  ASSERT_TRUE(wait_until([&] { return gated->entered() >= 1; }));
+  EXPECT_EQ(short_future.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "the 1-chunk job waited for its same-key neighbour";
+  EXPECT_EQ(long_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(gated->entered(), 1);
+
+  gated->release();
+  EXPECT_EQ(short_future.get().table.num_rows(), 32u);
+  EXPECT_EQ(long_future.get().table.num_rows(), 640u);
+  EXPECT_EQ(service.stats().batches, 2u);
+}
+
+TEST(SampleService, FastJobsOvertakeABlockedSlowJob) {
+  // Jobs run concurrently on the pool: while one job is stuck inside a
+  // slow model, a job for another model completes, and a second job of
   // the *same* key starts sampling on the shared instance.
   if (util::ThreadPool::global().size() < 2) {
     GTEST_SKIP() << "needs at least two pool workers";
@@ -512,10 +547,10 @@ TEST(SampleService, FastJobsOvertakeABlockedSlowBatch) {
   auto fast = service.submit(SampleJob{"smote", 64, 2});
   EXPECT_EQ(fast.wait_for(std::chrono::seconds(5)),
             std::future_status::ready)
-      << "a fast job queued behind the blocked batch";
+      << "a fast job queued behind the blocked job";
   auto same_key = service.submit(SampleJob{"slow", 64, 3});
   EXPECT_TRUE(wait_until([&] { return gated->entered() >= 2; }))
-      << "a second batch of the blocked key did not start sampling";
+      << "a second job of the blocked key did not start sampling";
 
   gated->release();
   EXPECT_EQ(slow.get().table.num_rows(), 64u);
@@ -583,7 +618,7 @@ TEST(SampleService, ShutdownDrainsQueuedJobs) {
     SampleService service(host);
     service.pause();
     pending = service.submit(SampleJob{"a", 120, 4});
-    // Destructor stops the dispatcher; stop overrides pause and drains.
+    // The destructor overrides the pause and runs the queued job.
   }
   EXPECT_EQ(pending.get().table.num_rows(), 120u);
 }
@@ -744,8 +779,8 @@ TEST(AdmissionControl, RowBoundAppliesButEmptyQueueAlwaysAdmits) {
 }
 
 TEST(AdmissionControl, InFlightJobsCountTowardTheDepthBound) {
-  // Batches run concurrently, so the depth bound counts in-flight jobs
-  // beyond the first: with every admitted job held inside the model, a
+  // Jobs run concurrently, so the depth bound counts in-flight jobs beyond
+  // the first: with every admitted job held inside the model, a
   // service bounded at one backlog job admits exactly two, whatever the
   // pool size.
   auto gated = make_gated();
@@ -782,7 +817,7 @@ TEST(AdmissionControl, InFlightJobsCountTowardTheDepthBound) {
 
 TEST(AdmissionControl, BlockedSubmitWakesWhenInFlightWorkFinishes) {
   // A submitter blocked by in-flight jobs (not by the queue) must wake
-  // when their batches finish.
+  // when they finish.
   auto gated = make_gated();
   ModelHost host;
   host.register_fitted("slow", gated);
@@ -874,7 +909,7 @@ TEST(AdmissionControl, BlockPolicyBackpressuresUntilSpaceFrees) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(admitted.load());  // still blocked while paused
-  service.resume();  // dispatcher pops f1 -> space frees -> f2 admitted
+  service.resume();  // dispatches f1 -> space frees -> f2 admitted
   submitter.join();
   EXPECT_TRUE(admitted.load());
   EXPECT_EQ(f1.get().table.num_rows(), 60u);
@@ -1078,7 +1113,7 @@ TEST(Deadlines, MidSamplingExpiryUnwindsAtChunkBoundary) {
     EXPECT_EQ(e.code(), ServiceError::Code::kDeadline);
   }
   EXPECT_EQ(service.stats().deadline_missed, 1u);
-  // The service keeps serving (the batch unwound cleanly).
+  // The service keeps serving (the job unwound cleanly).
   EXPECT_EQ(service.sample(SampleJob{"a", 60, 8}).num_rows(), 60u);
 }
 
@@ -1114,7 +1149,7 @@ TEST(Cancellation, InFlightJobStopsAtNextChunkBoundary) {
   SampleService service(host);
 
   // The job cancels *itself* from its progress hook — by then it is
-  // definitely mid-batch, so this exercises the chunk-boundary path, not
+  // definitely mid-sampling, so this exercises the chunk-boundary path, not
   // the queued-removal path. threads=1 serializes chunks so at least one
   // boundary check runs after the flag is set.
   std::atomic<std::uint64_t> job_id{0};
@@ -1251,48 +1286,6 @@ TEST(HostFaultInjection, LeaseStaysDeterministicAcrossEvictReloadEvict) {
   tabular::Table after;
   host.acquire("a")->sample_into(after, request);
   expect_tables_identical(direct, after);
-}
-
-// ------------------------------------------------- pipeline as thin client --
-
-TEST(PipelineThinClient, SampleRoutesThroughGlobalServiceBitwise) {
-  core::PipelineConfig cfg;
-  cfg.experiment = eval::quick_experiment_config();
-  cfg.experiment.data.model.days = 8.0;
-  cfg.experiment.data.model.base_jobs_per_day = 120.0;
-  cfg.experiment.budget.epochs = 4;
-  cfg.model = "smote";
-
-  const auto served_before = global_serving().service.stats().completed;
-  std::string key;
-  {
-    core::SurrogatePipeline pipe(cfg);
-    pipe.fit();
-    key = pipe.host_key();
-    EXPECT_FALSE(global_serving().host.contains(key));  // lazy registration
-
-    models::SampleRequest request;
-    request.rows = 250;
-    request.seed = 77;
-    request.chunk_rows = 64;
-    request.threads = 2;
-    const auto via_service = pipe.sample(request);
-    EXPECT_TRUE(global_serving().host.contains(key));
-
-    request.threads = 1;
-    tabular::Table direct;
-    pipe.model().sample_into(direct, request);
-    expect_tables_identical(direct, via_service);
-
-    EXPECT_GE(global_serving().service.stats().completed,
-              served_before + 1);
-    models::SampleRequest bad;
-    bad.rows = 10;
-    bad.chunk_rows = 0;
-    EXPECT_THROW((void)pipe.sample(bad), std::invalid_argument);
-  }
-  // Destruction unregisters the pipeline's model.
-  EXPECT_FALSE(global_serving().host.contains(key));
 }
 
 }  // namespace

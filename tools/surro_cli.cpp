@@ -46,7 +46,7 @@
 // its axes are window stride, drift family, and refresh regime (cold refit
 // vs warm delta refresh), and its JSON carries per-window fidelity decay
 // curves plus refresh timings. `serve` stands up the serving layer — a
-// ModelHost LRU cache over saved archives plus the batching SampleService —
+// ModelHost LRU cache over saved archives plus the SampleService —
 // replays a request script against it from N concurrent clients, and
 // writes the serve_stats JSON artifact; --admission/--max-queue/
 // --max-queued-rows bound the admission queue (block, reject, or shed on
@@ -196,7 +196,7 @@ int usage() {
       "               --script FILE.jsonl | --requests "
       "\"model=K,rows=N,seed=S,repeat=R;...\"\n"
       "               --clients C --rounds R --capacity N --threads T\n"
-      "               --chunk-rows C --max-batch B\n"
+      "               --chunk-rows C\n"
       "               --admission {block|reject|shed} --max-queue D\n"
       "               --max-queued-rows R --json-out FILE [--verbose]\n"
       "               [--shards N] [--replicas R] [--shard-ttl-ms MS]\n"
@@ -218,7 +218,7 @@ int usage() {
       "               --duration SECONDS --streams K --deadline-ms D\n"
       "               --admission {block|reject|shed} --max-queue D\n"
       "               --max-queued-rows R --capacity N --threads T\n"
-      "               --chunk-rows C --max-batch B --seed S\n"
+      "               --chunk-rows C --seed S\n"
       "               --json-out FILE [--verbose] [--over-socket]\n"
       "               [--shards N] [--replicas R] [--shard-ttl-ms MS]\n"
       "               [--remote-shards HOST:PORT,...]\n"
@@ -781,7 +781,6 @@ int cmd_serve(const Args& args) {
   serve::ServiceConfig svc_cfg;
   svc_cfg.sample_threads = count("threads", 0.0);
   svc_cfg.chunk_rows = count("chunk-rows", 4096.0);
-  svc_cfg.max_batch = count("max-batch", 8.0);
   svc_cfg.admission = serve::parse_admission_policy(
       args.get("admission", "block"));
   svc_cfg.max_queue_depth = count("max-queue", 0.0);
@@ -881,9 +880,6 @@ int cmd_serve(const Args& args) {
                 static_cast<unsigned long long>(result.shed),
                 static_cast<unsigned long long>(result.deadline_missed));
   }
-  std::printf("  batching        %llu batches, %.2f jobs/batch\n",
-              static_cast<unsigned long long>(s.batches),
-              s.mean_batch_jobs);
   std::printf("  cache           %.0f%% hit rate, %llu loads, %llu "
               "evictions (capacity %zu)\n",
               s.host.hit_rate() * 100.0,
@@ -945,7 +941,6 @@ int cmd_soak(const Args& args) {
   soak.max_queue_depth = count("max-queue", 0.0);
   soak.max_queued_rows = count("max-queued-rows", 0.0);
   soak.sample_threads = count("threads", 0.0);
-  soak.max_batch = count("max-batch", 8.0);
   soak.verbose = args.flag("verbose");
   soak.over_socket = args.flag("over-socket");
   soak.shards = std::max<std::size_t>(count("shards", 1.0), 1);
