@@ -76,10 +76,6 @@ const tabular::Table& SurrogatePipeline::train_table() const {
   if (!has_data_) throw std::logic_error("pipeline: not fitted");
   return train_;
 }
-const tabular::Table& SurrogatePipeline::test_table() const {
-  if (!has_data_) throw std::logic_error("pipeline: not fitted");
-  return test_;
-}
 models::TabularGenerator& SurrogatePipeline::model() {
   if (!fitted_) throw std::logic_error("pipeline: not fitted");
   return *model_;

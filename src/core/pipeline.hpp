@@ -70,9 +70,9 @@ class SurrogatePipeline {
   void save_model(std::ostream& os) const;
   void load_model(std::istream& is);
 
-  /// The 80/20 partitions of the simulated window (require a prior fit()).
+  /// The training partition of the simulated window's 80/20 split
+  /// (requires a prior fit()).
   [[nodiscard]] const tabular::Table& train_table() const;
-  [[nodiscard]] const tabular::Table& test_table() const;
   /// Per-stage counts of the Fig. 3(b) filter funnel.
   [[nodiscard]] const panda::FilterFunnel& funnel() const noexcept {
     return funnel_;

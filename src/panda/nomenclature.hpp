@@ -43,18 +43,8 @@ class Nomenclature {
   /// by DAOD inputs; centralized formats make up the rest).
   [[nodiscard]] DatasetName sample(util::Rng& rng, double daod_bias) const;
 
-  [[nodiscard]] const std::vector<std::string>& projects() const noexcept {
-    return projects_;
-  }
-  [[nodiscard]] const std::vector<std::string>& prodsteps() const noexcept {
-    return prodsteps_;
-  }
   [[nodiscard]] const std::vector<std::string>& daod_types() const noexcept {
     return daod_types_;
-  }
-  [[nodiscard]] const std::vector<std::string>& non_daod_types()
-      const noexcept {
-    return non_daod_types_;
   }
 
   /// Relative per-datatype input-file size scale (DAOD_PHYSLITE is much

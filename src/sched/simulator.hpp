@@ -75,13 +75,6 @@ struct ClusterState {
            (available.empty() || available[site] != 0) &&
            capacity[site] >= job.cores && capacity[site] > 0;
   }
-  /// True when at least one site is placeable for `job`.
-  [[nodiscard]] bool any_placeable(const SimJob& job) const {
-    for (std::size_t s = 0; s < capacity.size(); ++s) {
-      if (placeable(job, s)) return true;
-    }
-    return false;
-  }
 };
 
 struct SimMetrics {

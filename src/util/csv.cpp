@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace surro::util {
@@ -106,14 +104,6 @@ CsvDocument parse_csv(std::string_view text, bool has_header) {
   return doc;
 }
 
-CsvDocument read_csv_file(const std::string& path, bool has_header) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("csv: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_csv(buf.str(), has_header);
-}
-
 std::string csv_escape(std::string_view field) {
   const bool needs_quotes =
       field.find_first_of(",\"\r\n") != std::string_view::npos;
@@ -139,13 +129,6 @@ std::string to_csv(const CsvDocument& doc) {
   if (!doc.header.empty()) emit_row(doc.header);
   for (const auto& row : doc.rows) emit_row(row);
   return out;
-}
-
-void write_csv_file(const std::string& path, const CsvDocument& doc) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("csv: cannot write " + path);
-  out << to_csv(doc);
-  if (!out) throw std::runtime_error("csv: write failed for " + path);
 }
 
 }  // namespace surro::util

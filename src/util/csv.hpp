@@ -27,15 +27,8 @@ struct CsvDocument {
 [[nodiscard]] CsvDocument parse_csv(std::string_view text,
                                     bool has_header = true);
 
-/// Read and parse a file. Throws std::runtime_error when unreadable.
-[[nodiscard]] CsvDocument read_csv_file(const std::string& path,
-                                        bool has_header = true);
-
 /// Serialize with minimal quoting (only when a field needs it).
 [[nodiscard]] std::string to_csv(const CsvDocument& doc);
-
-/// Write to file; throws on I/O failure.
-void write_csv_file(const std::string& path, const CsvDocument& doc);
 
 /// Quote a single field if needed (exposed for streaming writers).
 [[nodiscard]] std::string csv_escape(std::string_view field);

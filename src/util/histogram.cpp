@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/mathx.hpp"
@@ -77,27 +76,6 @@ std::vector<double> Histogram::centers() const {
     } else {
       out[i] = 0.5 * (edges_[i] + edges_[i + 1]);
     }
-  }
-  return out;
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::string out;
-  const std::uint64_t peak =
-      counts_.empty()
-          ? 0
-          : *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char label[64];
-    std::snprintf(label, sizeof(label), "%11.4g |", edges_[i]);
-    out += label;
-    const std::size_t bar =
-        peak == 0 ? 0
-                  : static_cast<std::size_t>(
-                        static_cast<double>(counts_[i]) * static_cast<double>(width) /
-                        static_cast<double>(peak));
-    out.append(bar, '#');
-    out += '\n';
   }
   return out;
 }

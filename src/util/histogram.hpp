@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace surro::util {
@@ -44,9 +43,6 @@ class Histogram {
   [[nodiscard]] const std::vector<double>& edges() const noexcept {
     return edges_;
   }
-
-  /// Compact ASCII bar rendering for terminal figures.
-  [[nodiscard]] std::string ascii(std::size_t width = 48) const;
 
  private:
   std::vector<double> edges_;        // data-space edges, ascending

@@ -6,10 +6,6 @@
 
 namespace surro::util {
 
-double normal_pdf(double x) noexcept {
-  return std::exp(-0.5 * x * x) / std::sqrt(2.0 * kPi);
-}
-
 double normal_cdf(double x) noexcept {
   return 0.5 * std::erfc(-x / std::sqrt(2.0));
 }

@@ -12,8 +12,6 @@ namespace surro::util {
 
 inline constexpr double kPi = 3.14159265358979323846;
 
-/// Standard normal PDF.
-[[nodiscard]] double normal_pdf(double x) noexcept;
 /// Standard normal CDF via erfc (stable in both tails).
 [[nodiscard]] double normal_cdf(double x) noexcept;
 /// Inverse standard normal CDF (Acklam's rational approximation refined by

@@ -145,17 +145,6 @@ inline std::vector<double> read_vec_f64(std::istream& is) {
   return v;
 }
 
-inline void write_vec_f32(std::ostream& os, const std::vector<float>& v) {
-  write_u64(os, v.size());
-  for (const float x : v) write_f32(os, x);
-}
-
-inline std::vector<float> read_vec_f32(std::istream& is) {
-  std::vector<float> v(read_count(is));
-  for (auto& x : v) x = read_f32(is);
-  return v;
-}
-
 inline void write_vec_i32(std::ostream& os, const std::vector<std::int32_t>& v) {
   write_u64(os, v.size());
   for (const std::int32_t x : v) write_i32(os, x);

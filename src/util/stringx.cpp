@@ -82,10 +82,4 @@ std::string format_bytes(double bytes) {
   return buf;
 }
 
-std::string format_fixed(double v, int width, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%*.*f", width, precision, v);
-  return buf;
-}
-
 }  // namespace surro::util

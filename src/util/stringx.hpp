@@ -37,7 +37,4 @@ namespace surro::util {
 /// Human-readable byte count ("3.2 GB").
 [[nodiscard]] std::string format_bytes(double bytes);
 
-/// Fixed-width numeric cell for ASCII tables.
-[[nodiscard]] std::string format_fixed(double v, int width, int precision);
-
 }  // namespace surro::util

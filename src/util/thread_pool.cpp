@@ -101,7 +101,6 @@ void ThreadPool::wait(TaskGroup& group) {
     run_task(std::move(task));
     lock.lock();
   }
-  group.stop_.store(false, std::memory_order_relaxed);  // reusable batches
   if (group.error_) {
     const std::exception_ptr error = std::exchange(group.error_, nullptr);
     lock.unlock();

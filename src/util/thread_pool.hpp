@@ -13,7 +13,6 @@
 // falls back to a serial loop when the range is small or the pool has a
 // single worker, so call sites never special-case.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -51,19 +50,6 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Cooperative cancellation: request_stop() flips a flag that the group's
-  /// tasks may poll via stop_requested() to abandon remaining work early.
-  /// The pool itself never inspects the flag — already-queued tasks still
-  /// run (and should return promptly once they observe the flag), so
-  /// wait() semantics are unchanged. The flag resets on the next wait()
-  /// return, keeping the group reusable across batches.
-  void request_stop() noexcept {
-    stop_.store(true, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool stop_requested() const noexcept {
-    return stop_.load(std::memory_order_relaxed);
-  }
-
  private:
   friend class ThreadPool;
   // Guarded by the owning pool's mutex.
@@ -71,7 +57,6 @@ class TaskGroup {
   std::size_t queued_ = 0;   // submitted, not yet started
   std::exception_ptr error_;  // first failure
   std::condition_variable cv_;  // wait(): own task queued / group finished
-  std::atomic<bool> stop_{false};  // see request_stop()
 };
 
 class ThreadPool {
