@@ -529,24 +529,7 @@ std::string RestApi::stats_json() {
   w.kv("simd_backend", linalg::simd::active_backend_name());
   w.kv("uptime_seconds", clock_.seconds());
 
-  w.key("service").begin_object();
-  w.kv("submitted", stats.submitted);
-  w.kv("completed", stats.completed);
-  w.kv("failed", stats.failed);
-  w.kv("queue_depth", static_cast<std::uint64_t>(stats.queue_depth));
-  w.kv("queued_rows", static_cast<std::uint64_t>(stats.queued_rows));
-  w.kv("batches", stats.batches);
-  w.kv("qps", stats.qps);
-  w.kv("rows_per_sec", stats.rows_per_sec);
-  w.kv("rejected", stats.rejected);
-  w.kv("shed", stats.shed);
-  w.kv("cancelled", stats.cancelled);
-  w.kv("deadline_missed", stats.deadline_missed);
-  w.kv("blocked", stats.blocked);
-  w.kv("p50_latency_ms", stats.p50_latency_ms);
-  w.kv("p95_latency_ms", stats.p95_latency_ms);
-  w.kv("p99_latency_ms", stats.p99_latency_ms);
-  w.end_object();
+  serve::write_service_stats(w, stats);
 
   w.key("admission").begin_object();
   w.kv("policy", serve::admission_policy_name(service_.config().admission));
@@ -554,21 +537,6 @@ std::string RestApi::stats_json() {
        static_cast<std::uint64_t>(service_.config().max_queue_depth));
   w.kv("max_queued_rows",
        static_cast<std::uint64_t>(service_.config().max_queued_rows));
-  w.end_object();
-
-  w.key("cache").begin_object();
-  w.kv("registered", static_cast<std::uint64_t>(stats.host.registered));
-  w.kv("resident", static_cast<std::uint64_t>(stats.host.resident));
-  w.kv("pinned", static_cast<std::uint64_t>(stats.host.pinned));
-  w.kv("capacity", static_cast<std::uint64_t>(stats.host.capacity));
-  w.kv("hits", stats.host.hits);
-  w.kv("misses", stats.host.misses);
-  w.kv("loads", stats.host.loads);
-  w.kv("load_failures", stats.host.load_failures);
-  w.kv("evictions", stats.host.evictions);
-  w.kv("stale_reloads", stats.host.stale_reloads);
-  w.kv("invalidations", stats.host.invalidations);
-  w.kv("hit_rate", stats.host.hit_rate());
   w.end_object();
 
   w.key("jobs").begin_object();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -180,49 +179,8 @@ ServiceStats RemoteShard::stats() const {
   }
   try {
     const auto doc = util::parse_json(body);
-    const auto& svc = doc.at("service");
-    const auto u64 = [&](const char* key) {
-      return static_cast<std::uint64_t>(svc.number_or(key, 0.0));
-    };
-    out.submitted = u64("submitted");
-    out.completed = u64("completed");
-    out.failed = u64("failed");
-    out.queue_depth = static_cast<std::size_t>(svc.number_or("queue_depth", 0));
-    out.queued_rows = static_cast<std::size_t>(svc.number_or("queued_rows", 0));
-    out.batches = u64("batches");
+    out = read_service_stats(doc);
     out.uptime_seconds = doc.number_or("uptime_seconds", 0.0);
-    out.qps = svc.number_or("qps", 0.0);
-    out.rows_per_sec = svc.number_or("rows_per_sec", 0.0);
-    out.rejected = u64("rejected");
-    out.shed = u64("shed");
-    out.cancelled = u64("cancelled");
-    out.deadline_missed = u64("deadline_missed");
-    out.blocked = u64("blocked");
-    const auto pct = [&](const char* key) {
-      const auto& v = svc.at(key);
-      return v.is_null() ? std::numeric_limits<double>::infinity()
-                         : v.as_number();
-    };
-    if (svc.has("p50_latency_ms")) out.p50_latency_ms = pct("p50_latency_ms");
-    if (svc.has("p95_latency_ms")) out.p95_latency_ms = pct("p95_latency_ms");
-    if (svc.has("p99_latency_ms")) out.p99_latency_ms = pct("p99_latency_ms");
-    if (doc.has("cache")) {
-      const auto& cache = doc.at("cache");
-      const auto cu64 = [&](const char* key) {
-        return static_cast<std::uint64_t>(cache.number_or(key, 0.0));
-      };
-      out.host.registered = static_cast<std::size_t>(cu64("registered"));
-      out.host.resident = static_cast<std::size_t>(cu64("resident"));
-      out.host.pinned = static_cast<std::size_t>(cu64("pinned"));
-      out.host.capacity = static_cast<std::size_t>(cu64("capacity"));
-      out.host.hits = cu64("hits");
-      out.host.misses = cu64("misses");
-      out.host.loads = cu64("loads");
-      out.host.load_failures = cu64("load_failures");
-      out.host.evictions = cu64("evictions");
-      out.host.stale_reloads = cu64("stale_reloads");
-      out.host.invalidations = cu64("invalidations");
-    }
   } catch (const std::exception&) {
     // A stats document this client cannot decode degrades to zeros; the
     // data plane (submit/harvest) is where correctness is enforced.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <istream>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "linalg/simd.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
+#include "util/rng.hpp"
 #include "util/stringx.hpp"
 
 namespace surro::serve {
@@ -176,6 +178,122 @@ std::uint64_t hash_table(const tabular::Table& table) {
   return h;
 }
 
+std::uint64_t expected_digest(ModelHost& host, const SampleJob& job) {
+  models::SampleRequest request;
+  request.rows = job.rows;
+  request.seed = job.seed;
+  request.chunk_rows = job.chunk_rows;
+  request.threads = 1;
+  tabular::Table table;
+  host.acquire(job.model_key)->sample_into(table, request);
+  return hash_table(table);
+}
+
+LoadRun drive_load(const std::vector<SampleBackend*>& targets,
+                   const LoadPlan& plan) {
+  const bool paced = plan.rate_per_client > 0.0;
+  const std::size_t clients = plan.jobs > 0
+                                  ? std::min(plan.clients, plan.jobs)
+                                  : plan.clients;
+  if (targets.empty() || clients == 0 || (plan.jobs == 0 && !paced) ||
+      (paced && plan.arrival_seeds.size() < clients)) {
+    throw std::invalid_argument("drive_load: needs targets, clients, and a "
+                                "job count or a rate with one arrival seed "
+                                "per client");
+  }
+  struct Tally {
+    LoadCounts counts;
+    std::vector<ServedJob> served;
+  };
+  std::vector<Tally> tallies(clients);
+  // Safety valve: even a badly misestimated rate cannot stretch a paced run
+  // past 20x its nominal window.
+  const double hard_stop = plan.window_seconds * 20.0;
+
+  // Dedicated client threads (not pool workers — clients block on futures,
+  // and the pool is busy sampling underneath them). Overload outcomes are
+  // tallied per kind: a run against a bounded service is *expected* to
+  // drop work, and those drops must not read as execution failures.
+  const auto client = [&](std::size_t c) {
+    Tally& tally = tallies[c];
+    SampleBackend& target = *targets[c % targets.size()];
+    util::Rng arrivals(paced ? plan.arrival_seeds[c] : 0);
+    util::Stopwatch clock;
+    double next_at = paced ? arrivals.exponential(plan.rate_per_client) : 0.0;
+    // A paced client sleeps until its next arrival; false once the window
+    // has closed and the floor is met, or at the hard stop.
+    const auto arrive = [&] {
+      for (;;) {
+        const double now = clock.seconds();
+        if (now >= plan.window_seconds &&
+            (tally.counts.submitted >= plan.min_jobs_per_client ||
+             now >= hard_stop)) {
+          return false;
+        }
+        if (next_at <= now) break;
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            std::min(next_at - now, hard_stop - now)));
+      }
+      next_at += arrivals.exponential(plan.rate_per_client);
+      return true;
+    };
+    std::vector<std::pair<std::size_t, std::future<SampleResult>>> in_flight;
+    for (std::size_t k = c; plan.jobs == 0 || k < plan.jobs; k += clients) {
+      if (paced && !arrive()) break;
+      ++tally.counts.submitted;
+      try {
+        in_flight.emplace_back(k, target.submit(plan.job_at(k)));
+      } catch (const ServiceError& e) {
+        ++(e.code() == ServiceError::Code::kShed ? tally.counts.shed
+                                                 : tally.counts.rejected);
+      } catch (...) {
+        ++tally.counts.failed;  // e.g. a transport error on a socket hop
+      }
+    }
+    for (auto& [k, future] : in_flight) {
+      try {
+        const SampleResult r = future.get();
+        ++tally.counts.completed;
+        tally.counts.rows += r.table.num_rows();
+        tally.served.push_back(
+            {k, r.total_seconds * 1e3, hash_table(r.table)});
+      } catch (const ServiceError& e) {
+        switch (e.code()) {
+          case ServiceError::Code::kShed: ++tally.counts.shed; break;
+          case ServiceError::Code::kDeadline:
+            ++tally.counts.deadline_missed;
+            break;
+          default: ++tally.counts.failed; break;
+        }
+      } catch (...) {
+        ++tally.counts.failed;
+      }
+    }
+  };
+
+  util::Stopwatch wall;
+  {
+    std::vector<std::jthread> threads;  // joined at scope exit, even on throw
+    threads.reserve(clients);
+    for (std::size_t c = 0; c < clients; ++c) threads.emplace_back(client, c);
+  }
+
+  LoadRun run;
+  run.wall_seconds = wall.seconds();
+  for (auto& tally : tallies) {
+    run.counts.submitted += tally.counts.submitted;
+    run.counts.completed += tally.counts.completed;
+    run.counts.rows += tally.counts.rows;
+    run.counts.rejected += tally.counts.rejected;
+    run.counts.shed += tally.counts.shed;
+    run.counts.deadline_missed += tally.counts.deadline_missed;
+    run.counts.failed += tally.counts.failed;
+    run.served.insert(run.served.end(), tally.served.begin(),
+                      tally.served.end());
+  }
+  return run;
+}
+
 ReplayResult run_replay(SampleBackend& service, const ReplayScript& script,
                         const ReplayOptions& options) {
   std::vector<SampleJob> jobs;
@@ -193,87 +311,19 @@ ReplayResult run_replay(SampleBackend& service, const ReplayScript& script,
     }
   }
 
-  if (jobs.empty()) {
-    ReplayResult empty;
-    empty.stats = service.stats();
-    return empty;
-  }
-
-  const std::size_t clients =
-      std::min(std::max<std::size_t>(options.clients, 1), jobs.size());
-  struct ClientTally {
-    std::uint64_t jobs = 0, failures = 0;
-    std::uint64_t rejected = 0, shed = 0, deadline_missed = 0;
-    std::vector<tabular::Table> tables;
-  };
-  std::vector<ClientTally> tallies(std::max<std::size_t>(clients, 1));
-
-  util::Stopwatch wall;
-  // Dedicated client threads (not pool workers — clients block on futures,
-  // and the pool is busy sampling underneath them). Client c submits jobs
-  // c, c+C, c+2C, ... up front, then waits for them in order. Tables are
-  // kept and digested after the clock stops, so the throughput numbers
-  // measure serving, not hashing. Overload outcomes (admission rejection,
-  // shedding, missed deadlines) are tallied per kind: a replay against a
-  // bounded service is *expected* to drop work, and those drops must not
-  // read as execution failures.
-  const auto client = [&](std::size_t c) {
-    auto& tally = tallies[c];
-    std::vector<std::future<SampleResult>> futures;
-    for (std::size_t i = c; i < jobs.size(); i += clients) {
-      ++tally.jobs;
-      try {
-        futures.push_back(service.submit(jobs[i]));
-      } catch (const ServiceError& e) {
-        if (e.code() == ServiceError::Code::kShed) {
-          ++tally.shed;
-        } else {
-          ++tally.rejected;
-        }
-      }
-    }
-    for (auto& future : futures) {
-      try {
-        tally.tables.push_back(future.get().table);
-      } catch (const ServiceError& e) {
-        switch (e.code()) {
-          case ServiceError::Code::kShed: ++tally.shed; break;
-          case ServiceError::Code::kDeadline: ++tally.deadline_missed; break;
-          default: ++tally.failures; break;
-        }
-      } catch (const std::exception&) {
-        ++tally.failures;
-      }
-    }
-  };
-
-  if (clients <= 1) {
-    client(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (std::size_t c = 0; c < clients; ++c) {
-      threads.emplace_back(client, c);
-    }
-    for (auto& t : threads) t.join();
-  }
-
   ReplayResult result;
-  result.wall_seconds = wall.seconds();
-  result.stats = service.stats();
-  for (const auto& tally : tallies) {
-    result.jobs += tally.jobs;
-    result.completed += tally.tables.size();
-    result.failures += tally.failures;
-    result.rejected += tally.rejected;
-    result.shed += tally.shed;
-    result.deadline_missed += tally.deadline_missed;
-    for (const auto& table : tally.tables) {
-      result.rows += table.num_rows();
-      // Sum (not XOR): identical repeated jobs must not cancel out.
-      result.output_hash += hash_table(table);
-    }
+  if (!jobs.empty()) {
+    LoadPlan plan;
+    plan.clients = std::max<std::size_t>(options.clients, 1);
+    plan.jobs = jobs.size();
+    plan.job_at = [&jobs](std::size_t k) { return jobs[k]; };
+    const LoadRun run = drive_load({&service}, plan);
+    result.counts = run.counts;
+    result.wall_seconds = run.wall_seconds;
+    // Sum (not XOR): identical repeated jobs must not cancel out.
+    for (const ServedJob& job : run.served) result.output_hash += job.digest;
   }
+  result.stats = service.stats();
   return result;
 }
 
@@ -281,6 +331,7 @@ std::string serve_stats_to_json(const SampleBackend& service,
                                 const ReplayOptions& options,
                                 const ReplayResult& result) {
   const ServiceStats& s = result.stats;
+  const LoadCounts& counts = result.counts;
   const ServiceConfig& cfg = service.config();
   char hash_hex[19];
   std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
@@ -301,22 +352,22 @@ std::string serve_stats_to_json(const SampleBackend& service,
   w.kv("clients", options.clients);
   w.kv("rounds", options.rounds);
   w.end_object();
-  w.kv("jobs", result.jobs);
-  w.kv("completed", result.completed);
-  w.kv("rows", result.rows);
-  w.kv("failures", result.failures);
-  w.kv("rejected", result.rejected);
-  w.kv("shed", result.shed);
-  w.kv("deadline_missed", result.deadline_missed);
+  w.kv("jobs", counts.submitted);
+  w.kv("completed", counts.completed);
+  w.kv("rows", counts.rows);
+  w.kv("failures", counts.failed);
+  w.kv("rejected", counts.rejected);
+  w.kv("shed", counts.shed);
+  w.kv("deadline_missed", counts.deadline_missed);
   w.kv("wall_seconds", result.wall_seconds);
   // Served throughput: completed jobs only — on a bounded service the
   // attempt count includes rejected/shed submits that did no work.
   w.kv("jobs_per_sec", result.wall_seconds > 0.0
-                           ? static_cast<double>(result.completed) /
+                           ? static_cast<double>(counts.completed) /
                                  result.wall_seconds
                            : 0.0);
   w.kv("rows_per_sec", result.wall_seconds > 0.0
-                           ? static_cast<double>(result.rows) /
+                           ? static_cast<double>(counts.rows) /
                                  result.wall_seconds
                            : 0.0);
   w.key("latency_ms").begin_object();
@@ -324,34 +375,7 @@ std::string serve_stats_to_json(const SampleBackend& service,
   w.kv("p95", s.p95_latency_ms);
   w.kv("p99", s.p99_latency_ms);
   w.end_object();
-  w.key("service").begin_object();
-  w.kv("submitted", s.submitted);
-  w.kv("completed", s.completed);
-  w.kv("failed", s.failed);
-  w.kv("rejected", s.rejected);
-  w.kv("shed", s.shed);
-  w.kv("cancelled", s.cancelled);
-  w.kv("deadline_missed", s.deadline_missed);
-  w.kv("blocked", s.blocked);
-  w.kv("queue_depth", s.queue_depth);
-  w.kv("queued_rows", s.queued_rows);
-  w.kv("batches", s.batches);
-  w.kv("qps", s.qps);
-  w.end_object();
-  w.key("cache").begin_object();
-  w.kv("registered", s.host.registered);
-  w.kv("resident", s.host.resident);
-  w.kv("pinned", s.host.pinned);
-  w.kv("capacity", s.host.capacity);
-  w.kv("hits", s.host.hits);
-  w.kv("misses", s.host.misses);
-  w.kv("loads", s.host.loads);
-  w.kv("load_failures", s.host.load_failures);
-  w.kv("evictions", s.host.evictions);
-  w.kv("stale_reloads", s.host.stale_reloads);
-  w.kv("invalidations", s.host.invalidations);
-  w.kv("hit_rate", s.host.hit_rate());
-  w.end_object();
+  write_service_stats(w, s);
   // A sharded backend appends its "shards" section (routing table +
   // per-shard counters); a plain service appends nothing.
   service.append_stats_json(w);

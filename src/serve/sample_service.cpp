@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
+
+#include "util/json.hpp"
+#include "util/json_parse.hpp"
 
 namespace surro::serve {
 
@@ -21,6 +25,86 @@ AdmissionPolicy parse_admission_policy(const std::string& name) {
   if (name == "shed") return AdmissionPolicy::kShed;
   throw std::invalid_argument("unknown admission policy '" + name +
                               "' (have: block, reject, shed)");
+}
+
+void write_service_stats(util::JsonWriter& w, const ServiceStats& s) {
+  w.key("service").begin_object();
+  w.kv("submitted", s.submitted);
+  w.kv("completed", s.completed);
+  w.kv("failed", s.failed);
+  w.kv("queue_depth", s.queue_depth);
+  w.kv("queued_rows", s.queued_rows);
+  w.kv("batches", s.batches);
+  w.kv("qps", s.qps);
+  w.kv("rows_per_sec", s.rows_per_sec);
+  w.kv("rejected", s.rejected);
+  w.kv("shed", s.shed);
+  w.kv("cancelled", s.cancelled);
+  w.kv("deadline_missed", s.deadline_missed);
+  w.kv("blocked", s.blocked);
+  w.kv("p50_latency_ms", s.p50_latency_ms);
+  w.kv("p95_latency_ms", s.p95_latency_ms);
+  w.kv("p99_latency_ms", s.p99_latency_ms);
+  w.end_object();
+  w.key("cache").begin_object();
+  w.kv("registered", s.host.registered);
+  w.kv("resident", s.host.resident);
+  w.kv("pinned", s.host.pinned);
+  w.kv("capacity", s.host.capacity);
+  w.kv("hits", s.host.hits);
+  w.kv("misses", s.host.misses);
+  w.kv("loads", s.host.loads);
+  w.kv("load_failures", s.host.load_failures);
+  w.kv("evictions", s.host.evictions);
+  w.kv("stale_reloads", s.host.stale_reloads);
+  w.kv("invalidations", s.host.invalidations);
+  w.kv("hit_rate", s.host.hit_rate());
+  w.end_object();
+}
+
+ServiceStats read_service_stats(const util::JsonValue& doc) {
+  const util::JsonValue none;  // a missing section reads as all zeros
+  const util::JsonValue& svc = doc.has("service") ? doc.at("service") : none;
+  const util::JsonValue& cache = doc.has("cache") ? doc.at("cache") : none;
+  // Range-checked: a negative or huge double makes the cast undefined.
+  const auto count = [](const util::JsonValue& section, const char* key) {
+    const double v = section.number_or(key, 0.0);
+    return v >= 0.0 && v < 0x1p64 ? static_cast<std::uint64_t>(v) : 0;
+  };
+  const auto percentile = [&svc](const char* key) {
+    return svc.has(key) && svc.at(key).is_null()
+               ? std::numeric_limits<double>::infinity()
+               : svc.number_or(key, 0.0);
+  };
+  ServiceStats s;
+  s.submitted = count(svc, "submitted");
+  s.completed = count(svc, "completed");
+  s.failed = count(svc, "failed");
+  s.queue_depth = count(svc, "queue_depth");
+  s.queued_rows = count(svc, "queued_rows");
+  s.batches = count(svc, "batches");
+  s.qps = svc.number_or("qps", 0.0);
+  s.rows_per_sec = svc.number_or("rows_per_sec", 0.0);
+  s.rejected = count(svc, "rejected");
+  s.shed = count(svc, "shed");
+  s.cancelled = count(svc, "cancelled");
+  s.deadline_missed = count(svc, "deadline_missed");
+  s.blocked = count(svc, "blocked");
+  s.p50_latency_ms = percentile("p50_latency_ms");
+  s.p95_latency_ms = percentile("p95_latency_ms");
+  s.p99_latency_ms = percentile("p99_latency_ms");
+  s.host.registered = count(cache, "registered");
+  s.host.resident = count(cache, "resident");
+  s.host.pinned = count(cache, "pinned");
+  s.host.capacity = count(cache, "capacity");
+  s.host.hits = count(cache, "hits");
+  s.host.misses = count(cache, "misses");
+  s.host.loads = count(cache, "loads");
+  s.host.load_failures = count(cache, "load_failures");
+  s.host.evictions = count(cache, "evictions");
+  s.host.stale_reloads = count(cache, "stale_reloads");
+  s.host.invalidations = count(cache, "invalidations");
+  return s;
 }
 
 namespace {

@@ -45,6 +45,7 @@
 
 namespace surro::util {
 class JsonWriter;
+struct JsonValue;
 }
 
 namespace surro::serve {
@@ -184,6 +185,18 @@ struct ServiceStats {
   HostStats host;                ///< cache hit rate & friends
   util::PoolCounters pool;       ///< thread-pool load underneath the service
 };
+
+/// The one JSON form of ServiceStats, shared by /v1/stats and the
+/// serve_stats / serve_soak artifacts: writes the "service" member (the
+/// job counters, rates and latency percentiles) and the "cache" member (the
+/// host counters and hit_rate) into the open object `w`. uptime_seconds and
+/// the pool counters are not part of it. A +inf percentile (empty window)
+/// degrades to null.
+void write_service_stats(util::JsonWriter& w, const ServiceStats& s);
+/// Inverse of write_service_stats over the object that holds those members
+/// (a /v1/stats document): a missing key reads as 0, a null percentile as
+/// +infinity.
+[[nodiscard]] ServiceStats read_service_stats(const util::JsonValue& doc);
 
 /// A submitted job's handle: the future plus the id cancel() takes.
 struct Submitted {

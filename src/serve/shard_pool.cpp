@@ -364,4 +364,26 @@ void ShardPool::append_stats_json(util::JsonWriter& w) const {
   w.end_object();
 }
 
+Backend make_backend(ModelHost& host, const ShardPoolConfig& cfg) {
+  Backend out;
+  if (cfg.shards <= 1 && cfg.remotes.empty()) {
+    out.service = std::make_unique<SampleService>(host, cfg.service);
+    return out;
+  }
+  auto pool = std::make_unique<ShardPool>(cfg);
+  for (const auto& key : host.keys()) {
+    const std::string path = host.archive_path(key);
+    if (!path.empty()) {
+      // Remote owners are verified to already serve the key: workers load
+      // their own archives, paths do not cross the wire.
+      pool->register_archive(key, path);
+    } else {
+      pool->register_fitted(key, host.acquire(key));
+    }
+  }
+  out.pool = pool.get();
+  out.service = std::move(pool);
+  return out;
+}
+
 }  // namespace surro::serve

@@ -165,4 +165,22 @@ class ShardPool : public SampleBackend {
   std::uint64_t rerouted_transport_ = 0;
 };
 
+/// What make_backend built: it owns one SampleService or one ShardPool,
+/// and `pool` points at the pool when it is one (the soak's per-shard
+/// depth monitor and shard_stats read it).
+struct Backend {
+  std::unique_ptr<SampleBackend> service;
+  ShardPool* pool = nullptr;
+};
+
+/// The serving tier a caller asked for, over the models registered in
+/// `host`: one SampleService over `host` with cfg.service when
+/// cfg.shards <= 1 and there are no remotes, else a ShardPool(cfg) with
+/// every host key registered — by archive path, or by the fitted instance
+/// when the key has none (which throws when a remote shard owns it).
+/// cfg.host configures the pool's shards only; `host` must outlive the
+/// result.
+[[nodiscard]] Backend make_backend(ModelHost& host,
+                                   const ShardPoolConfig& cfg);
+
 }  // namespace surro::serve

@@ -1,7 +1,6 @@
 #include "serve/soak.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -12,7 +11,6 @@
 #include "net/rest.hpp"
 #include "serve/latency_window.hpp"
 #include "serve/remote_shard.hpp"
-#include "serve/shard_pool.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -53,8 +51,9 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
   if (cfg.load_multipliers.empty()) {
     throw std::invalid_argument("soak: need at least one load multiplier");
   }
-  if (cfg.rows_per_job == 0 || cfg.chunk_rows == 0 ||
-      cfg.seed_streams == 0 || cfg.clients == 0) {
+  const std::size_t chunk_rows = cfg.backend.service.chunk_rows;
+  if (cfg.rows_per_job == 0 || chunk_rows == 0 || cfg.seed_streams == 0 ||
+      cfg.clients == 0) {
     throw std::invalid_argument("soak: rows_per_job, chunk_rows, "
                                 "seed_streams, clients must be positive");
   }
@@ -64,72 +63,55 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
   util::Stopwatch total;
   SoakResult result;
 
-  // ---- Expected digests: sample every (model, stream) identity directly,
-  // single-threaded, outside any service. This is the ground truth each
-  // accepted job is compared against — the determinism contract says
-  // serving machinery (dispatch order, rejection storms, eviction/reload)
-  // must never move a job's bytes off this table.
-  std::vector<std::vector<std::uint64_t>> expected(num_models);
-  for (std::size_t m = 0; m < num_models; ++m) {
-    const auto model = host.acquire(cfg.models[m]);
-    expected[m].resize(cfg.seed_streams);
-    for (std::size_t s = 0; s < cfg.seed_streams; ++s) {
-      models::SampleRequest request;
-      request.rows = cfg.rows_per_job;
-      request.seed = seed_for(cfg, m, s);
-      request.chunk_rows = cfg.chunk_rows;
-      request.threads = 1;
-      tabular::Table table;
-      model->sample_into(table, request);
-      expected[m][s] = hash_table(table);
-      result.expected_hash += expected[m][s];  // sum: order-independent
-    }
-  }
-
-  const auto make_job = [&](std::size_t identity) {
-    const std::size_t m = identity % num_models;
-    const std::size_t s = identity / num_models % cfg.seed_streams;
+  // Identity i is (model i % M, stream i / M): a client cycling plan
+  // indices k = c, c+C, ... covers the universe without coordination.
+  const auto make_job = [&](std::size_t k) {
+    const std::size_t identity = k % identities;
     SampleJob job;
-    job.model_key = cfg.models[m];
+    job.model_key = cfg.models[identity % num_models];
     job.rows = cfg.rows_per_job;
-    job.seed = seed_for(cfg, m, s);
-    job.chunk_rows = cfg.chunk_rows;
+    job.seed = seed_for(cfg, identity % num_models, identity / num_models);
+    job.chunk_rows = chunk_rows;
     job.deadline_ms = cfg.deadline_ms;
     return job;
   };
-  const auto expected_for = [&](std::size_t identity) {
-    const std::size_t m = identity % num_models;
-    const std::size_t s = identity / num_models % cfg.seed_streams;
-    return expected[m][s];
-  };
 
-  // ---- Calibration: measure sustained jobs/sec with no admission bounds.
-  // The sweep's offered rates are multiples of this.
+  // ---- Expected digests: sample every identity directly, single-threaded,
+  // outside any service. This is the ground truth each accepted job is
+  // compared against — the determinism contract says serving machinery
+  // (dispatch order, rejection storms, eviction/reload) must never move a
+  // job's bytes off this table. Model-major, so a small host never thrashes.
+  std::vector<std::uint64_t> expected(identities);
+  for (std::size_t m = 0; m < num_models; ++m) {
+    for (std::size_t s = 0; s < cfg.seed_streams; ++s) {
+      const std::size_t identity = s * num_models + m;
+      expected[identity] = expected_digest(host, make_job(identity));
+      result.expected_hash += expected[identity];  // sum: order-independent
+    }
+  }
+
+  // ---- Calibration: one client, no admission bounds, no deadline; the
+  // sweep's offered rates are multiples of the jobs/sec it sustains.
   {
     ServiceConfig calib_cfg;
-    calib_cfg.sample_threads = cfg.sample_threads;
-    calib_cfg.chunk_rows = cfg.chunk_rows;
+    calib_cfg.sample_threads = cfg.backend.service.sample_threads;
+    calib_cfg.chunk_rows = chunk_rows;
     SampleService calibration(host, calib_cfg);
-    const std::size_t jobs =
-        std::max<std::size_t>(cfg.clients * kCalibrationJobsPerClient, 1);
-    // Warm-up pass (archive loads, allocator) before the timed one.
+    LoadPlan plan;
+    plan.jobs = cfg.clients * kCalibrationJobsPerClient;
+    plan.job_at = [&](std::size_t k) {
+      SampleJob job = make_job(k);
+      job.deadline_ms = 0.0;
+      return job;
+    };
+    // Warm-up pass (archive loads, allocator), then the timed one.
     for (int round = 0; round < 2; ++round) {
-      util::Stopwatch wall;
-      std::vector<std::future<SampleResult>> futures;
-      futures.reserve(jobs);
-      for (std::size_t j = 0; j < jobs; ++j) {
-        // Deadline-free: calibration measures raw capacity, and a burst
-        // of queued jobs expiring here would both skew the estimate and
-        // throw out of the unguarded get() below.
-        SampleJob job = make_job(j % identities);
-        job.deadline_ms = 0.0;
-        futures.push_back(calibration.submit(std::move(job)));
+      const LoadRun run = drive_load({&calibration}, plan);
+      if (run.counts.completed != plan.jobs) {
+        throw std::runtime_error("soak: a calibration job failed");
       }
-      for (auto& future : futures) (void)future.get();
-      if (round == 1) {
-        result.capacity_jobs_per_sec =
-            static_cast<double>(jobs) / std::max(wall.seconds(), 1e-9);
-      }
+      result.capacity_jobs_per_sec = static_cast<double>(plan.jobs) /
+                                     std::max(run.wall_seconds, 1e-9);
     }
   }
   if (cfg.verbose) {
@@ -138,54 +120,20 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
                 result.capacity_jobs_per_sec, num_models, cfg.rows_per_job);
   }
 
-  // ---- The bounded backend under test: one SampleService, or a ShardPool
-  // of them. The pool replicates the caller's host registrations (archives
-  // by path, fitted models by sharing the instance), so the expected
-  // digests computed on the unsharded host above double as the
-  // cross-placement check.
-  ServiceConfig svc_cfg;
-  svc_cfg.sample_threads = cfg.sample_threads;
-  svc_cfg.chunk_rows = cfg.chunk_rows;
-  svc_cfg.admission = cfg.admission;
-  svc_cfg.max_queue_depth = cfg.effective_queue_depth();
-  svc_cfg.max_queued_rows = cfg.max_queued_rows;
-  std::unique_ptr<SampleService> single;
-  std::unique_ptr<ShardPool> pool;
-  SampleBackend* backend = nullptr;
-  if (cfg.shards > 1 || !cfg.remote_shards.empty()) {
-    ShardPoolConfig pool_cfg;
-    pool_cfg.shards = cfg.shards;
-    pool_cfg.replication = std::max<std::size_t>(cfg.replicas, 1);
-    pool_cfg.host.capacity = host.stats().capacity;
-    pool_cfg.host.ttl_ms = cfg.shard_ttl_ms;
-    pool_cfg.service = svc_cfg;
-    for (const auto& spec : cfg.remote_shards) {
-      pool_cfg.remotes.push_back(parse_remote_endpoint(spec));
-    }
-    pool = std::make_unique<ShardPool>(pool_cfg);
-    for (const auto& key : cfg.models) {
-      const std::string path = host.archive_path(key);
-      if (!path.empty()) {
-        pool->register_archive(key, path);
-      } else {
-        // A fitted in-memory model cannot cross a process boundary;
-        // register_fitted throws when any owner shard is remote, which is
-        // the right answer (the worker could never produce those bytes).
-        pool->register_fitted(key, host.acquire(key));
-      }
-    }
-    backend = pool.get();
-    if (cfg.verbose) {
-      std::printf(
-          "soak: sharded tier — %zu local + %zu remote shards, "
-          "replication %zu\n",
-          cfg.shards, cfg.remote_shards.size(), pool_cfg.replication);
-    }
-  } else {
-    single = std::make_unique<SampleService>(host, svc_cfg);
-    backend = single.get();
+  // ---- The bounded backend under test. A pool registers the caller's
+  // host keys on its shards, so the expected digests computed on the
+  // unsharded host above double as the cross-placement check.
+  ShardPoolConfig backend_cfg = cfg.backend;
+  backend_cfg.service.max_queue_depth = cfg.effective_queue_depth();
+  const Backend backend = make_backend(host, backend_cfg);
+  SampleBackend& service = *backend.service;
+  ShardPool* const pool = backend.pool;
+  if (cfg.verbose && pool != nullptr) {
+    std::printf("soak: sharded tier — %zu local + %zu remote shards, "
+                "replication %zu\n",
+                backend_cfg.shards, backend_cfg.remotes.size(),
+                backend_cfg.replication);
   }
-  SampleBackend& service = *backend;
 
   // Socket mode: the same bounded service behind the REST front end on an
   // ephemeral loopback port, and one RemoteShard per client pointed at it.
@@ -194,6 +142,7 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
   // modes and a digest or SLO difference isolates the wire path.
   std::unique_ptr<net::HttpEndpoint> endpoint;
   std::vector<std::unique_ptr<RemoteShard>> remotes;
+  std::vector<SampleBackend*> targets{&service};
   if (cfg.over_socket) {
     RemoteShardConfig remote_cfg;
     net::RestConfig rest_cfg;
@@ -210,8 +159,10 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
                                                    server_cfg);
     endpoint->server.start();
     remote_cfg.port = endpoint->server.port();
+    targets.clear();
     for (std::size_t c = 0; c < cfg.clients; ++c) {
       remotes.push_back(std::make_unique<RemoteShard>(remote_cfg));
+      targets.push_back(remotes.back().get());
     }
     if (cfg.verbose) {
       std::printf("soak: socket mode on 127.0.0.1:%u (%zu http workers)\n",
@@ -225,29 +176,25 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     point.multiplier = cfg.load_multipliers[p];
     point.offered_jobs_per_sec =
         point.multiplier * result.capacity_jobs_per_sec;
-    const double rate_per_client =
-        std::max(point.offered_jobs_per_sec /
-                     static_cast<double>(cfg.clients),
-                 1e-6);
-    const std::size_t min_per_client =
+    LoadPlan plan;
+    plan.clients = cfg.clients;
+    plan.job_at = make_job;
+    plan.rate_per_client = std::max(
+        point.offered_jobs_per_sec / static_cast<double>(cfg.clients), 1e-6);
+    plan.window_seconds = cfg.duration_seconds;
+    plan.min_jobs_per_client =
         (cfg.effective_min_jobs() + cfg.clients - 1) / cfg.clients;
-
-    struct ClientTally {
-      std::uint64_t submitted = 0, accepted = 0, rejected = 0, shed = 0,
-                    deadline_missed = 0, failed = 0;
-      std::vector<double> latencies_ms;
-      bool hashes_ok = true;
-    };
-    std::vector<ClientTally> tallies(cfg.clients);
+    for (std::size_t c = 0; c < cfg.clients; ++c) {
+      plan.arrival_seeds.push_back(arrival_seed(cfg, p, c));
+    }
 
     // Queue-depth monitor: the "bounded queue under overload" probe. For a
     // sharded run the admission bound is per shard, so the monitor tracks
     // each shard's depth (and the headline max is the worst single shard).
-    std::atomic<bool> monitor_stop{false};
     std::size_t max_depth = 0;
     std::vector<std::size_t> shard_max(pool ? pool->shards() : 0, 0);
-    std::thread monitor([&] {
-      while (!monitor_stop.load(std::memory_order_relaxed)) {
+    std::jthread monitor([&](const std::stop_token& stop) {
+      while (!stop.stop_requested()) {
         if (pool) {
           const auto depths = pool->shard_depths();
           for (std::size_t s = 0; s < depths.size(); ++s) {
@@ -262,96 +209,21 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     });
 
     util::Stopwatch point_wall;
-    const auto client = [&](std::size_t c) {
-      auto& tally = tallies[c];
-      SampleBackend& target = remotes.empty() ? service : *remotes[c];
-      util::Rng arrivals(arrival_seed(cfg, p, c));
-      struct Accepted {
-        std::future<SampleResult> future;
-        std::size_t identity = 0;
-      };
-      std::vector<Accepted> in_flight;
-      util::Stopwatch clock;
-      double next_at = arrivals.exponential(rate_per_client);
-      // Client c owns identities c, c+C, c+2C, ... so the fleet cycles
-      // the whole identity universe without coordination.
-      std::size_t k = c;
-      // Safety valve: even a badly misestimated capacity cannot stretch a
-      // point past 20x its nominal window.
-      const double hard_stop = cfg.duration_seconds * 20.0;
-      for (;;) {
-        const double now = clock.seconds();
-        if (now >= cfg.duration_seconds &&
-            (tally.submitted >= min_per_client || now >= hard_stop)) {
-          break;
-        }
-        if (next_at > now) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              std::min(next_at - now, hard_stop - now)));
-          continue;
-        }
-        next_at += arrivals.exponential(rate_per_client);
-        const std::size_t identity = k % identities;
-        k += cfg.clients;
-        ++tally.submitted;
-        try {
-          in_flight.push_back({target.submit(make_job(identity)), identity});
-        } catch (const ServiceError& e) {
-          if (e.code() == ServiceError::Code::kShed) {
-            ++tally.shed;
-          } else {
-            ++tally.rejected;
-          }
-        } catch (const std::exception&) {
-          ++tally.failed;  // e.g. a transport error on the socket hop
-        }
-      }
-      for (auto& entry : in_flight) {
-        try {
-          const SampleResult r = entry.future.get();
-          ++tally.accepted;
-          tally.latencies_ms.push_back(r.total_seconds * 1e3);
-          if (hash_table(r.table) != expected_for(entry.identity)) {
-            tally.hashes_ok = false;
-          }
-        } catch (const ServiceError& e) {
-          switch (e.code()) {
-            case ServiceError::Code::kShed: ++tally.shed; break;
-            case ServiceError::Code::kDeadline:
-              ++tally.deadline_missed;
-              break;
-            default: ++tally.failed; break;
-          }
-        } catch (const std::exception&) {
-          ++tally.failed;
-        }
-      }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(cfg.clients);
-    for (std::size_t c = 0; c < cfg.clients; ++c) {
-      threads.emplace_back(client, c);
-    }
-    for (auto& t : threads) t.join();
+    const LoadRun run = drive_load(targets, plan);
     service.drain();  // the no-deadlock-on-drain-mid-overload check
     point.wall_seconds = point_wall.seconds();
-    monitor_stop.store(true, std::memory_order_relaxed);
+    monitor.request_stop();
     monitor.join();
     point.max_queue_depth_seen = max_depth;
     point.shard_max_depths = std::move(shard_max);
 
+    point.counts = run.counts;
     std::vector<double> latencies;
-    for (auto& tally : tallies) {
-      point.submitted += tally.submitted;
-      point.accepted += tally.accepted;
-      point.rejected += tally.rejected;
-      point.shed += tally.shed;
-      point.deadline_missed += tally.deadline_missed;
-      point.failed += tally.failed;
-      point.hashes_ok = point.hashes_ok && tally.hashes_ok;
-      latencies.insert(latencies.end(), tally.latencies_ms.begin(),
-                       tally.latencies_ms.end());
+    latencies.reserve(run.served.size());
+    for (const ServedJob& job : run.served) {
+      latencies.push_back(job.latency_ms);
+      point.hashes_ok =
+          point.hashes_ok && job.digest == expected[job.index % identities];
     }
     std::sort(latencies.begin(), latencies.end());
     point.p50_ms = LatencyWindow::percentile(latencies, 0.50);
@@ -359,8 +231,7 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
     point.p99_ms = LatencyWindow::percentile(latencies, 0.99);
     point.accepted_rows_per_sec =
         point.wall_seconds > 0.0
-            ? static_cast<double>(point.accepted * cfg.rows_per_job) /
-                  point.wall_seconds
+            ? static_cast<double>(point.counts.rows) / point.wall_seconds
             : 0.0;
     result.deterministic = result.deterministic && point.hashes_ok;
     if (cfg.verbose) {
@@ -368,10 +239,11 @@ SoakResult run_soak(ModelHost& host, const SoakConfig& cfg) {
                   "rejected %llu shed %llu deadline %llu, p95 %.1f ms, "
                   "max depth %zu\n",
                   point.multiplier, point.offered_jobs_per_sec,
-                  static_cast<unsigned long long>(point.accepted),
-                  static_cast<unsigned long long>(point.rejected),
-                  static_cast<unsigned long long>(point.shed),
-                  static_cast<unsigned long long>(point.deadline_missed),
+                  static_cast<unsigned long long>(point.counts.completed),
+                  static_cast<unsigned long long>(point.counts.rejected),
+                  static_cast<unsigned long long>(point.counts.shed),
+                  static_cast<unsigned long long>(
+                      point.counts.deadline_missed),
                   point.p95_ms, point.max_queue_depth_seen);
     }
     result.points.push_back(std::move(point));
@@ -424,10 +296,11 @@ std::string render_soak(const SoakResult& result) {
     std::snprintf(line, sizeof(line),
                   "%-6.2f %10.1f %9llu %9llu %6llu %9.1f %9.1f %9.1f %7zu\n",
                   point.multiplier, point.offered_jobs_per_sec,
-                  static_cast<unsigned long long>(point.accepted),
-                  static_cast<unsigned long long>(point.rejected),
-                  static_cast<unsigned long long>(point.shed), point.p50_ms,
-                  point.p95_ms, point.p99_ms, point.max_queue_depth_seen);
+                  static_cast<unsigned long long>(point.counts.completed),
+                  static_cast<unsigned long long>(point.counts.rejected),
+                  static_cast<unsigned long long>(point.counts.shed),
+                  point.p50_ms, point.p95_ms, point.p99_ms,
+                  point.max_queue_depth_seen);
     out += line;
   }
   std::snprintf(line, sizeof(line), "p95 ratio (max load / low load): %.2fx\n",
@@ -452,6 +325,7 @@ std::string render_soak(const SoakResult& result) {
 }
 
 std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
+  const ShardPoolConfig& backend = cfg.backend;
   char hash_hex[19];
   std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
                 static_cast<unsigned long long>(result.expected_hash));
@@ -466,27 +340,29 @@ std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
   w.end_array();
   w.kv("clients", cfg.clients);
   w.kv("rows_per_job", cfg.rows_per_job);
-  w.kv("chunk_rows", cfg.chunk_rows);
+  w.kv("chunk_rows", backend.service.chunk_rows);
   w.kv("seed", cfg.seed);
   w.kv("seed_streams", cfg.seed_streams);
   w.kv("duration_seconds", cfg.duration_seconds);
   w.kv("min_jobs_per_point", cfg.effective_min_jobs());
   w.kv("deadline_ms", cfg.deadline_ms);
-  w.kv("admission", admission_policy_name(cfg.admission));
+  w.kv("admission", admission_policy_name(backend.service.admission));
   w.kv("max_queue_depth", cfg.effective_queue_depth());
-  w.kv("max_queued_rows", cfg.max_queued_rows);
-  w.kv("sample_threads", cfg.sample_threads);
+  w.kv("max_queued_rows", backend.service.max_queued_rows);
+  w.kv("sample_threads", backend.service.sample_threads);
   w.kv("over_socket", cfg.over_socket);
-  w.kv("shards", cfg.shards);
-  w.kv("replicas", cfg.replicas);
-  w.kv("shard_ttl_ms", cfg.shard_ttl_ms);
+  w.kv("shards", backend.shards);
+  w.kv("replicas", backend.replication);
+  w.kv("shard_ttl_ms", backend.host.ttl_ms);
   w.key("remote_shards").begin_array();
-  for (const auto& spec : cfg.remote_shards) w.value(spec);
+  for (const auto& remote : backend.remotes) {
+    w.value(remote.host + ":" + std::to_string(remote.port));
+  }
   w.end_array();
   w.end_object();
   w.kv("transport", cfg.over_socket ? "socket" : "in-process");
   w.kv("shard_transport",
-       cfg.remote_shards.empty() ? "in-process" : "multi-process");
+       backend.remotes.empty() ? "in-process" : "multi-process");
   w.kv("capacity_jobs_per_sec", result.capacity_jobs_per_sec);
   w.kv("expected_hash", hash_hex);
   w.key("sweep").begin_array();
@@ -494,12 +370,12 @@ std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
     w.begin_object();
     w.kv("multiplier", point.multiplier);
     w.kv("offered_jobs_per_sec", point.offered_jobs_per_sec);
-    w.kv("submitted", point.submitted);
-    w.kv("accepted", point.accepted);
-    w.kv("rejected", point.rejected);
-    w.kv("shed", point.shed);
-    w.kv("deadline_missed", point.deadline_missed);
-    w.kv("failed", point.failed);
+    w.kv("submitted", point.counts.submitted);
+    w.kv("accepted", point.counts.completed);
+    w.kv("rejected", point.counts.rejected);
+    w.kv("shed", point.counts.shed);
+    w.kv("deadline_missed", point.counts.deadline_missed);
+    w.kv("failed", point.counts.failed);
     w.kv("p50_ms", point.p50_ms);  // inf (nothing accepted) -> null
     w.kv("p95_ms", point.p95_ms);
     w.kv("p99_ms", point.p99_ms);
@@ -517,32 +393,13 @@ std::string soak_to_json(const SoakConfig& cfg, const SoakResult& result) {
   w.end_array();
   w.kv("p95_ratio_vs_low_load", result.p95_ratio_vs_low_load);
   w.kv("deterministic", result.deterministic);
-  const ServiceStats& s = result.final_stats;
-  w.key("service").begin_object();
-  w.kv("submitted", s.submitted);
-  w.kv("completed", s.completed);
-  w.kv("failed", s.failed);
-  w.kv("rejected", s.rejected);
-  w.kv("shed", s.shed);
-  w.kv("cancelled", s.cancelled);
-  w.kv("deadline_missed", s.deadline_missed);
-  w.kv("blocked", s.blocked);
-  w.kv("batches", s.batches);
-  w.end_object();
-  w.key("cache").begin_object();
-  w.kv("hits", s.host.hits);
-  w.kv("misses", s.host.misses);
-  w.kv("loads", s.host.loads);
-  w.kv("load_failures", s.host.load_failures);
-  w.kv("evictions", s.host.evictions);
-  w.kv("hit_rate", s.host.hit_rate());
-  w.end_object();
+  write_service_stats(w, result.final_stats);
   if (!result.shard_final_stats.empty()) {
     w.key("shards").begin_object();
     w.kv("count", result.shard_final_stats.size());
-    w.kv("local", cfg.shards);
-    w.kv("remote", cfg.remote_shards.size());
-    w.kv("replicas", cfg.replicas);
+    w.kv("local", backend.shards);
+    w.kv("remote", backend.remotes.size());
+    w.kv("replicas", backend.replication);
     w.kv("routed", result.routed);
     w.kv("rerouted", result.rerouted);
     w.kv("rerouted_transport", result.rerouted_transport);

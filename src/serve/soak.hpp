@@ -1,6 +1,6 @@
 #pragma once
-// Overload soak harness for the serving layer: N client threads with
-// Poisson arrivals drive a bounded SampleService at a sweep of offered-load
+// Overload soak harness for the serving layer: N drive_load clients with
+// Poisson arrivals drive a bounded backend at a sweep of offered-load
 // multipliers (fractions/multiples of the service's measured capacity),
 // recording per-point accepted/rejected/shed/deadline-missed counts and
 // accepted-job latency percentiles — and asserting the determinism contract
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "serve/replay.hpp"
-#include "serve/sample_service.hpp"
+#include "serve/shard_pool.hpp"
 
 namespace surro::serve {
 
@@ -30,22 +30,17 @@ struct SoakConfig {
   std::vector<double> load_multipliers{0.5, 1.0, 2.0, 4.0};
   std::size_t clients = 4;        ///< concurrent submitting client threads
   std::size_t rows_per_job = 2000;
-  std::size_t chunk_rows = 1024;  ///< part of every job's determinism key
   /// Distinct seeds per model; traffic cycles through models × streams, so
   /// the identity universe is models.size() × seed_streams jobs.
   std::size_t seed_streams = 8;
   std::uint64_t seed = 42;        ///< base for job seeds + arrival processes
   double duration_seconds = 2.0;  ///< submission window per sweep point
   double deadline_ms = 0.0;       ///< per-job deadline (0 = none)
-  AdmissionPolicy admission = AdmissionPolicy::kReject;
-  std::size_t max_queue_depth = 0;  ///< 0 = clients (a shallow, SLO-friendly queue)
-  std::size_t max_queued_rows = 0;  ///< 0 = unbounded
-  std::size_t sample_threads = 0;   ///< ServiceConfig::sample_threads
   bool verbose = false;
 
   /// Drive the sweep over a loopback HTTP socket instead of in-process
   /// submits: run_soak stands up a net::HttpEndpoint (ephemeral port) over
-  /// the bounded service, and every client submits through its own
+  /// the bounded backend, and every client submits through its own
   /// serve::RemoteShard pointed at it — POST /v1/sample for each arrival,
   /// then long-poll + paginate the rows back and digest them. Calibration
   /// and the expected digests stay in-process on purpose: the check is
@@ -54,33 +49,30 @@ struct SoakConfig {
   /// (serialization, pagination, reassembly).
   bool over_socket = false;
 
-  /// Worker shards for the bounded service under test. 1 = the classic
-  /// single SampleService; > 1 stands up a serve::ShardPool (each shard
-  /// its own ModelHost + SampleService, admission bounds *per shard*) and
-  /// routes every submit through the consistent-hash router. Calibration
-  /// and the expected digests stay on the caller's unsharded host either
-  /// way — the expected_hash is placement-independent by contract, so a
-  /// 1-shard and an 8-shard run of the same config must agree on it.
-  std::size_t shards = 1;
-  /// Replication factor for the sharded tier (clamped to the total shard
-  /// count, local + remote).
-  std::size_t replicas = 1;
-  /// Archive-cache TTL per shard (ModelHost staleness; 0 = never stale).
-  double shard_ttl_ms = 0.0;
-  /// Remote worker endpoints ("host:port"), appended to the pool after the
-  /// `shards` local shards — the multi-process tier. Workers must already
-  /// serve every swept model (same --models flags); registration verifies
-  /// that. Calibration and the expected digests STILL come from the
-  /// caller's unsharded in-process host, so every remote sweep point is a
-  /// cross-process determinism check: bytes that crossed the wire must
-  /// land on the same expected_hash an in-process run computes.
-  std::vector<std::string> remote_shards;
+  /// The bounded backend under test, built by make_backend over the
+  /// caller's host: one SampleService, or a ShardPool when backend.shards
+  /// > 1 or backend.remotes is set (admission bounds then hold *per
+  /// shard*, and remote workers enforce their own). Every job runs at
+  /// backend.service.chunk_rows, part of its determinism key. Soak's
+  /// defaults: a reject queue of 1024-row chunks, and a max_queue_depth of
+  /// 0 means `clients`. Calibration and the expected digests stay on the
+  /// caller's unsharded host whatever the topology — the expected_hash is
+  /// placement-independent by contract, so a 1-shard, an 8-shard and a
+  /// multi-process run of the same config must agree on it.
+  ShardPoolConfig backend = [] {
+    ShardPoolConfig cfg;
+    cfg.service.chunk_rows = 1024;
+    cfg.service.admission = AdmissionPolicy::kReject;
+    return cfg;
+  }();
 
   /// The queue-depth bound the sweep service actually enforces (resolves
   /// the 0 = clients default). Single source of truth for run_soak, the
   /// JSON artifact, and the CLI banner.
   [[nodiscard]] std::size_t effective_queue_depth() const noexcept {
-    return max_queue_depth != 0 ? max_queue_depth : clients;
+    return backend.service.max_queue_depth != 0
+               ? backend.service.max_queue_depth
+               : clients;
   }
   /// Minimum submissions per sweep point (clients × models × 2): at a low
   /// offered rate the submission window extends past duration_seconds —
@@ -95,12 +87,9 @@ struct SoakConfig {
 struct SoakPoint {
   double multiplier = 0.0;
   double offered_jobs_per_sec = 0.0;  ///< target Poisson arrival rate
-  std::uint64_t submitted = 0;        ///< submission attempts
-  std::uint64_t accepted = 0;         ///< futures that delivered a table
-  std::uint64_t rejected = 0;         ///< refused at admission
-  std::uint64_t shed = 0;             ///< dropped by the shed policy
-  std::uint64_t deadline_missed = 0;
-  std::uint64_t failed = 0;           ///< execution errors (should be 0)
+  /// The artifact's submitted / accepted (= completed) / rejected / shed /
+  /// deadline_missed / failed; failures should be 0.
+  LoadCounts counts;
   /// Accepted-job latency percentiles (+inf when nothing was accepted;
   /// degrades to null in JSON).
   double p50_ms = 0.0;
@@ -133,7 +122,7 @@ struct SoakResult {
   /// side is empty (degrades to null in JSON). The overload-SLO headline.
   double p95_ratio_vs_low_load = 0.0;
   ServiceStats final_stats;  ///< cumulative service stats after the sweep
-  /// Per-shard final stats + routing tallies (empty/zero when shards == 1).
+  /// Per-shard final stats + routing tallies (empty/zero for one service).
   std::vector<ServiceStats> shard_final_stats;
   std::uint64_t routed = 0;    ///< submits the router placed on a shard
   std::uint64_t rerouted = 0;  ///< submits re-placed after a replica refused

@@ -72,7 +72,7 @@ TEST(Wasserstein, TriangleInequalitySampled) {
 }
 
 TEST(Wasserstein, EmptyThrows) {
-  EXPECT_THROW(wasserstein1({}, std::vector<double>{1.0}),
+  EXPECT_THROW((void)wasserstein1({}, std::vector<double>{1.0}),
                std::invalid_argument);
 }
 
@@ -99,8 +99,8 @@ TEST(Jsd, SymmetricAndBounded) {
 }
 
 TEST(Jsd, LengthMismatchThrows) {
-  EXPECT_THROW(jensen_shannon(std::vector<double>{1.0},
-                              std::vector<double>{0.5, 0.5}),
+  EXPECT_THROW((void)jensen_shannon(std::vector<double>{1.0},
+                                    std::vector<double>{0.5, 0.5}),
                std::invalid_argument);
 }
 

@@ -787,7 +787,7 @@ TEST(SoakOverSocket, InProcessSocketAndShardedRunsAgree) {
   const serve::SoakResult local = serve::run_soak(fx.host, cfg);
   cfg.over_socket = true;
   const serve::SoakResult socket = serve::run_soak(fx.host, cfg);
-  cfg.shards = 2;
+  cfg.backend.shards = 2;
   const serve::SoakResult sharded = serve::run_soak(fx.host, cfg);
 
   for (const serve::SoakResult* run : {&local, &socket, &sharded}) {
@@ -795,8 +795,11 @@ TEST(SoakOverSocket, InProcessSocketAndShardedRunsAgree) {
     EXPECT_TRUE(run->deterministic);
     ASSERT_EQ(run->points.size(), 2u);
     for (const auto& point : run->points) {
-      EXPECT_EQ(point.failed, 0u) << "load " << point.multiplier;
-      EXPECT_GT(point.accepted, 0u) << "load " << point.multiplier;
+      EXPECT_EQ(point.counts.failed, 0u) << "load " << point.multiplier;
+      EXPECT_GT(point.counts.completed, 0u) << "load " << point.multiplier;
+      // The driver's floor: a point never stops short of its minimum.
+      EXPECT_GE(point.counts.submitted, cfg.effective_min_jobs())
+          << "load " << point.multiplier;
     }
   }
   EXPECT_EQ(local.http_requests, 0u);

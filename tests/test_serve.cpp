@@ -13,6 +13,7 @@
 #include <cmath>
 #include <filesystem>
 #include <latch>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "serve/model_host.hpp"
 #include "serve/replay.hpp"
 #include "serve/sample_service.hpp"
+#include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/rng.hpp"
 
@@ -607,6 +609,92 @@ TEST(SampleService, FreshServiceReportsInfinitePercentilesAsJsonNull) {
   EXPECT_EQ(doc.at("cache").at("load_failures").as_number(), 0.0);
 }
 
+TEST(SampleService, StatsJsonRoundTripsEveryField) {
+  ServiceStats in;
+  in.submitted = 11;
+  in.completed = 7;
+  in.failed = 1;
+  in.queue_depth = 3;
+  in.queued_rows = 900;
+  in.batches = 8;
+  in.qps = 12.5;
+  in.rows_per_sec = 4321.25;
+  in.rejected = 2;
+  in.shed = 4;
+  in.cancelled = 5;
+  in.deadline_missed = 6;
+  in.blocked = 9;
+  in.p50_latency_ms = 1.5;
+  in.p95_latency_ms = 2.75;
+  in.p99_latency_ms = 3.125;
+  in.host.registered = 4;
+  in.host.resident = 2;
+  in.host.pinned = 1;
+  in.host.capacity = 3;
+  in.host.hits = 40;
+  in.host.misses = 10;
+  in.host.loads = 12;
+  in.host.load_failures = 2;
+  in.host.evictions = 9;
+  in.host.stale_reloads = 1;
+  in.host.invalidations = 3;
+  const auto to_doc = [](const ServiceStats& s) {
+    util::JsonWriter w;
+    w.begin_object();
+    write_service_stats(w, s);
+    w.end_object();
+    return util::parse_json(w.str());
+  };
+
+  const util::JsonValue doc = to_doc(in);
+  EXPECT_EQ(doc.at("service").object.size(), 16u);
+  EXPECT_EQ(doc.at("cache").object.size(), 12u);
+  EXPECT_EQ(doc.at("cache").at("hit_rate").as_number(), 0.8);
+  const ServiceStats out = read_service_stats(doc);
+  EXPECT_EQ(out.submitted, in.submitted);
+  EXPECT_EQ(out.completed, in.completed);
+  EXPECT_EQ(out.failed, in.failed);
+  EXPECT_EQ(out.queue_depth, in.queue_depth);
+  EXPECT_EQ(out.queued_rows, in.queued_rows);
+  EXPECT_EQ(out.batches, in.batches);
+  EXPECT_EQ(out.qps, in.qps);
+  EXPECT_EQ(out.rows_per_sec, in.rows_per_sec);
+  EXPECT_EQ(out.rejected, in.rejected);
+  EXPECT_EQ(out.shed, in.shed);
+  EXPECT_EQ(out.cancelled, in.cancelled);
+  EXPECT_EQ(out.deadline_missed, in.deadline_missed);
+  EXPECT_EQ(out.blocked, in.blocked);
+  EXPECT_EQ(out.p50_latency_ms, in.p50_latency_ms);
+  EXPECT_EQ(out.p95_latency_ms, in.p95_latency_ms);
+  EXPECT_EQ(out.p99_latency_ms, in.p99_latency_ms);
+  EXPECT_EQ(out.host.registered, in.host.registered);
+  EXPECT_EQ(out.host.resident, in.host.resident);
+  EXPECT_EQ(out.host.pinned, in.host.pinned);
+  EXPECT_EQ(out.host.capacity, in.host.capacity);
+  EXPECT_EQ(out.host.hits, in.host.hits);
+  EXPECT_EQ(out.host.misses, in.host.misses);
+  EXPECT_EQ(out.host.loads, in.host.loads);
+  EXPECT_EQ(out.host.load_failures, in.host.load_failures);
+  EXPECT_EQ(out.host.evictions, in.host.evictions);
+  EXPECT_EQ(out.host.stale_reloads, in.host.stale_reloads);
+  EXPECT_EQ(out.host.invalidations, in.host.invalidations);
+
+  // An empty window's +inf percentiles travel as JSON null and come back
+  // as +inf; a document without the sections reads as zeros.
+  ServiceStats empty;
+  empty.p50_latency_ms = empty.p95_latency_ms = empty.p99_latency_ms =
+      std::numeric_limits<double>::infinity();
+  const util::JsonValue null_doc = to_doc(empty);
+  EXPECT_TRUE(null_doc.at("service").at("p99_latency_ms").is_null());
+  const ServiceStats back = read_service_stats(null_doc);
+  EXPECT_TRUE(std::isinf(back.p50_latency_ms) && back.p50_latency_ms > 0);
+  EXPECT_TRUE(std::isinf(back.p95_latency_ms) && back.p95_latency_ms > 0);
+  EXPECT_TRUE(std::isinf(back.p99_latency_ms) && back.p99_latency_ms > 0);
+  const ServiceStats zeros = read_service_stats(util::parse_json("{}"));
+  EXPECT_EQ(zeros.submitted, 0u);
+  EXPECT_EQ(zeros.p99_latency_ms, 0.0);
+}
+
 TEST(SampleService, ShutdownDrainsQueuedJobs) {
   TempDir dir;
   const auto path = fit_and_archive(dir, "smote");
@@ -645,17 +733,17 @@ TEST(Replay, OutputHashIsClientCountAndCapacityInvariant) {
   };
 
   const auto serial = run(1, 2);
-  EXPECT_EQ(serial.jobs, 5u);
-  EXPECT_EQ(serial.rows, 3u * 150u + 2u * 90u);
-  EXPECT_EQ(serial.failures, 0u);
+  EXPECT_EQ(serial.counts.submitted, 5u);
+  EXPECT_EQ(serial.counts.rows, 3u * 150u + 2u * 90u);
+  EXPECT_EQ(serial.counts.failed, 0u);
   EXPECT_NE(serial.output_hash, 0u);
 
   const auto concurrent = run(4, 2);
   const auto thrashing = run(3, 1);  // capacity 1: every model swap evicts
   EXPECT_EQ(concurrent.output_hash, serial.output_hash);
   EXPECT_EQ(thrashing.output_hash, serial.output_hash);
-  EXPECT_EQ(concurrent.failures, 0u);
-  EXPECT_EQ(thrashing.failures, 0u);
+  EXPECT_EQ(concurrent.counts.failed, 0u);
+  EXPECT_EQ(thrashing.counts.failed, 0u);
   EXPECT_GE(thrashing.stats.host.evictions, 1u);
 
   // Distinct traffic hashes differently (the probe can actually fail).
@@ -667,6 +755,38 @@ TEST(Replay, OutputHashIsClientCountAndCapacityInvariant) {
   SampleService service(host);
   const auto other = run_replay(service, other_script, ReplayOptions{});
   EXPECT_NE(other.output_hash, serial.output_hash);
+}
+
+// A backend whose every submit throws something other than a
+// ServiceError, as a pool does when every replica's transport failed.
+class ThrowingBackend : public SampleBackend {
+ public:
+  Submitted submit_job(SampleJob) override {
+    throw std::runtime_error("transport down");
+  }
+  bool cancel(std::uint64_t) override { return false; }
+  void drain() override {}
+  ServiceStats stats() const override { return {}; }
+  std::size_t queue_depth() const override { return 0; }
+  const ServiceConfig& config() const noexcept override { return cfg_; }
+  std::vector<std::string> model_keys() const override { return {}; }
+  bool has_model(const std::string&) const override { return false; }
+  bool model_resident(const std::string&) const override { return false; }
+
+ private:
+  ServiceConfig cfg_;
+};
+
+TEST(Replay, SubmitFailureBelowTheServiceCountsAsFailure) {
+  ThrowingBackend backend;
+  ReplayOptions opts;
+  opts.clients = 3;
+  const auto result = run_replay(
+      backend, parse_script_inline("model=smote,rows=10,repeat=6"), opts);
+  EXPECT_EQ(result.counts.submitted, 6u);
+  EXPECT_EQ(result.counts.failed, 6u);
+  EXPECT_EQ(result.counts.completed, 0u);
+  EXPECT_EQ(result.counts.rejected, 0u);
 }
 
 // ---------------------------------------------------------- latency window --

@@ -312,8 +312,8 @@ TEST(RoutingInvariance, ReplayOutputHashMatchesUnshardedService) {
   auto pool = make_pool(4, 2);
   const auto sharded = run_replay(*pool, script, opts);
   EXPECT_EQ(sharded.output_hash, flat.output_hash);
-  EXPECT_EQ(sharded.failures, 0u);
-  EXPECT_EQ(sharded.completed, flat.completed);
+  EXPECT_EQ(sharded.counts.failed, 0u);
+  EXPECT_EQ(sharded.counts.completed, flat.counts.completed);
 }
 
 // ------------------------------------------------------- replica leases --

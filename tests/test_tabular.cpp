@@ -38,7 +38,7 @@ TEST(Schema, IndexAndContains) {
   EXPECT_EQ(s.index_of("cat"), 1u);
   EXPECT_TRUE(s.contains("y"));
   EXPECT_FALSE(s.contains("nope"));
-  EXPECT_THROW(s.index_of("nope"), std::out_of_range);
+  EXPECT_THROW((void)s.index_of("nope"), std::out_of_range);
 }
 
 TEST(Schema, KindPartitions) {
@@ -75,8 +75,8 @@ TEST(Table, AppendAndAccess) {
 
 TEST(Table, WrongKindAccessThrows) {
   const Table t = small_table();
-  EXPECT_THROW(t.numerical(1), std::invalid_argument);
-  EXPECT_THROW(t.categorical(0), std::invalid_argument);
+  EXPECT_THROW((void)t.numerical(1), std::invalid_argument);
+  EXPECT_THROW((void)t.categorical(0), std::invalid_argument);
 }
 
 TEST(Table, IncompleteRowThrows) {

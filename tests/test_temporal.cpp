@@ -185,7 +185,7 @@ TEST(ProfileDistance, ZeroForIdentical) {
 TEST(ProfileDistance, MismatchedLengthThrows) {
   const std::vector<double> a = {1.0};
   const std::vector<double> b = {1.0, 2.0};
-  EXPECT_THROW(profile_distance(a, b), std::invalid_argument);
+  EXPECT_THROW((void)profile_distance(a, b), std::invalid_argument);
 }
 
 TEST(CompareTemporal, IdenticalStreamsScorePerfect) {

@@ -115,7 +115,24 @@ struct Args {
   }
   [[nodiscard]] double num(const std::string& key, double fallback) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::stod(it->second);
+    if (it == kv.end()) return fallback;
+    double v = 0.0;
+    if (!util::parse_double(it->second, v)) {
+      throw std::invalid_argument("--" + key + ": bad number '" +
+                                  it->second + "'");
+    }
+    return v;
+  }
+  /// Range-checked count (rows, threads, seeds, ...): a negative double →
+  /// size_t cast is UB, so reject bad input instead of wrapping (mirrors
+  /// serve's script parser).
+  [[nodiscard]] std::size_t count(const std::string& key,
+                                  double fallback) const {
+    const double v = num(key, fallback);
+    if (!(v >= 0.0) || v > 1e12) {
+      throw std::invalid_argument("--" + key + " out of range");
+    }
+    return static_cast<std::size_t>(v);
   }
   /// Bare boolean flag (--verbose) or explicit --verbose true/false.
   [[nodiscard]] bool flag(const std::string& key) const {
@@ -257,7 +274,7 @@ int cmd_generate(const Args& args) {
   panda::GeneratorConfig cfg;
   cfg.model.days = args.num("days", 30.0);
   cfg.model.base_jobs_per_day = args.num("rate", 240.0);
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 42.0));
+  cfg.seed = args.count("seed", 42.0);
   panda::RecordGenerator gen(cfg);
   panda::FilterFunnel funnel;
   const auto table = panda::build_job_table(gen.generate(), gen.catalog(),
@@ -286,9 +303,9 @@ std::unique_ptr<models::TabularGenerator> train_from_args(
   const auto table = tabular::read_csv(panda::job_table_schema(),
                                        args.get("data", "jobs.csv"));
   models::TrainBudget budget;
-  budget.epochs = static_cast<std::size_t>(args.num("epochs", 30.0));
+  budget.epochs = args.count("epochs", 30.0);
   budget.log_every_epochs = args.flag("verbose") ? 1 : 5;
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 7.0));
+  const std::uint64_t seed = args.count("seed", 7.0);
   const std::string key = args.get("model", "tabddpm");
   (void)model_info_or_throw(key);
   auto model = models::make_generator(key, budget, seed);
@@ -303,13 +320,10 @@ std::unique_ptr<models::TabularGenerator> train_from_args(
 int sample_to_csv(models::TabularGenerator& model, const Args& args,
                   std::size_t default_rows) {
   models::SampleRequest request;
-  request.rows = static_cast<std::size_t>(
-      args.num("rows", static_cast<double>(default_rows)));
-  request.seed = static_cast<std::uint64_t>(args.num("seed", 7.0)) ^
-                 0xFEEDULL;
-  request.threads = static_cast<std::size_t>(args.num("threads", 1.0));
-  request.chunk_rows =
-      static_cast<std::size_t>(args.num("chunk-rows", 4096.0));
+  request.rows = args.count("rows", static_cast<double>(default_rows));
+  request.seed = args.count("seed", 7.0) ^ 0xFEEDULL;
+  request.threads = args.count("threads", 1.0);
+  request.chunk_rows = args.count("chunk-rows", 4096.0);
   if (args.flag("verbose")) {
     request.on_progress = [](std::size_t done, std::size_t total) {
       std::fprintf(stderr, "\r  sampled %zu/%zu rows", done, total);
@@ -420,11 +434,9 @@ int cmd_matrix(const Args& args) {
   // config), with the load-bearing knobs overridable from the command line.
   auto cfg = eval::quick_experiment_config();
   cfg.budget.epochs =
-      static_cast<std::size_t>(args.num("epochs",
-                                        static_cast<double>(cfg.budget.epochs)));
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 42.0));
-  const auto threads =
-      static_cast<std::size_t>(args.num("threads", 0.0));
+      args.count("epochs", static_cast<double>(cfg.budget.epochs));
+  cfg.seed = args.count("seed", 42.0);
+  const std::size_t threads = args.count("threads", 0.0);
   cfg.sample_threads = threads;
   cfg.metric_threads = threads;
   cfg.verbose = args.flag("verbose");
@@ -497,11 +509,11 @@ int cmd_stream(const Args& args) {
   // Base operating point: the quick experiment profile, with the stream's
   // load-bearing knobs overridable from the command line.
   auto cfg = eval::quick_experiment_config();
-  cfg.budget.epochs = static_cast<std::size_t>(
-      args.num("epochs", static_cast<double>(cfg.budget.epochs)));
+  cfg.budget.epochs =
+      args.count("epochs", static_cast<double>(cfg.budget.epochs));
   cfg.data.model.days = args.num("days", cfg.data.model.days);
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 42.0));
-  const auto threads = static_cast<std::size_t>(args.num("threads", 0.0));
+  cfg.seed = args.count("seed", 42.0);
+  const std::size_t threads = args.count("threads", 0.0);
   cfg.sample_threads = threads;
   cfg.metric_threads = threads;
   cfg.verbose = args.flag("verbose");
@@ -509,7 +521,7 @@ int cmd_stream(const Args& args) {
   stream::StreamOptions opts;
   opts.window_days = args.num("window", 7.0);
   opts.drift_intensity = args.num("intensity", opts.drift_intensity);
-  opts.synth_rows = static_cast<std::size_t>(args.num("rows", 1000.0));
+  opts.synth_rows = args.count("rows", 1000.0);
   opts.score_dcr = args.flag("score-dcr");
   opts.concurrent_scoring = !args.flag("serial-score");
   opts.verbose = cfg.verbose;
@@ -569,17 +581,6 @@ void register_serve_models(serve::ModelHost& host, const Args& args) {
   }
 }
 
-/// Range-checked count flag: a negative double → size_t cast is UB, so
-/// reject bad input instead of wrapping (mirrors serve's script parser).
-std::size_t count_flag(const Args& args, const std::string& key,
-                       double fallback) {
-  const double v = args.num(key, fallback);
-  if (!(v >= 0.0) || v > 1e12) {
-    throw std::invalid_argument("--" + key + " out of range");
-  }
-  return static_cast<std::size_t>(v);
-}
-
 /// SIGINT/SIGTERM flag for the blocking `serve --listen` mode.
 std::atomic<bool> g_serve_stop{false};
 void serve_signal_handler(int /*signum*/) { g_serve_stop.store(true); }
@@ -592,24 +593,21 @@ void serve_signal_handler(int /*signum*/) { g_serve_stop.store(true); }
 /// against a direct in-process sample of the same job identity — and exits.
 int cmd_serve_listen(const Args& args, serve::SampleBackend& service,
                      serve::ModelHost& host, std::size_t shards) {
-  const auto count = [&args](const std::string& key, double fallback) {
-    return count_flag(args, key, fallback);
-  };
-
   net::RestConfig rest_cfg;
-  rest_cfg.max_body_bytes = count("max-body-bytes", 1 << 20);
+  rest_cfg.max_body_bytes = args.count("max-body-bytes", 1 << 20);
   rest_cfg.quota_rps = args.num("quota-rps", 0.0);
   rest_cfg.quota_burst = args.num("quota-burst", 0.0);
-  rest_cfg.page_rows = std::max<std::size_t>(count("page-rows", 1000.0), 1);
+  rest_cfg.page_rows =
+      std::max<std::size_t>(args.count("page-rows", 1000.0), 1);
 
   net::ServerConfig server_cfg;
-  const std::size_t port_flag = count("listen", 0.0);
+  const std::size_t port_flag = args.count("listen", 0.0);
   if (port_flag > 65535) {
     throw std::invalid_argument("serve: --listen port out of range");
   }
   server_cfg.port = static_cast<std::uint16_t>(port_flag);
   server_cfg.worker_threads = std::max<std::size_t>(
-      count("http-workers", 8.0), 1);
+      args.count("http-workers", 8.0), 1);
 
   net::HttpEndpoint endpoint(service, rest_cfg, server_cfg);
   if (args.has("api-keys-file")) {
@@ -663,29 +661,24 @@ int cmd_serve_listen(const Args& args, serve::SampleBackend& service,
     if (!api.healthy()) throw std::runtime_error("self-probe: /healthz failed");
     const auto keys = api.models();
     if (keys.empty()) throw std::runtime_error("self-probe: no models");
-    const std::size_t rows = std::max<std::size_t>(count("rows", 256.0), 1);
-    const std::uint64_t seed = static_cast<std::uint64_t>(count("seed", 7.0));
-    const std::size_t chunk_rows = service.config().chunk_rows;
-    const std::uint64_t job = api.submit(keys.front(), rows, seed, chunk_rows);
-    const net::RemoteResult remote = api.wait_result(job, rows / 3 + 1);
+    const serve::SampleJob probe{
+        keys.front(), std::max<std::size_t>(args.count("rows", 256.0), 1),
+        args.count("seed", 7.0), service.config().chunk_rows};
+    const std::uint64_t job =
+        api.submit(probe.model_key, probe.rows, probe.seed, probe.chunk_rows);
+    const net::RemoteResult remote = api.wait_result(job, probe.rows / 3 + 1);
     // The determinism contract over the wire: the paginated pages must
     // reassemble to the exact bytes a direct in-process sample produces —
     // and with --shards, that the placement never changed the bytes.
-    models::SampleRequest direct;
-    direct.rows = rows;
-    direct.seed = seed;
-    direct.chunk_rows = chunk_rows;
-    tabular::Table local;
-    host.acquire(keys.front())->sample_into(local, direct);
-    if (serve::hash_table(remote.table) != serve::hash_table(local)) {
+    const std::uint64_t digest = serve::hash_table(remote.table);
+    if (digest != serve::expected_digest(host, probe)) {
       throw std::runtime_error("self-probe: socket digest != local digest");
     }
     (void)api.stats_json();  // and the stats document parses
     std::printf("self-probe: ok — %zu rows over %zu pages, digest %016llx "
                 "matches in-process\n",
                 remote.table.num_rows(), remote.pages,
-                static_cast<unsigned long long>(
-                    serve::hash_table(remote.table)));
+                static_cast<unsigned long long>(digest));
     endpoint.server.stop();
     return 0;
   }
@@ -761,31 +754,38 @@ int cmd_request(const Args& args) {
 
   if (args.has("expect-status")) {
     return response.status ==
-                   static_cast<int>(count_flag(args, "expect-status", 200.0))
+                   static_cast<int>(args.count("expect-status", 200.0))
                ? 0
                : 1;
   }
   return response.status >= 200 && response.status < 300 ? 0 : 1;
 }
 
+/// The backend flags `serve` and `soak` share, as make_backend's config;
+/// `admission` and `chunk_rows` are the subcommand's defaults.
+serve::ShardPoolConfig backend_flags(const Args& args, const char* admission,
+                                     double chunk_rows) {
+  serve::ShardPoolConfig cfg;
+  cfg.host.capacity = args.count("capacity", 4.0);
+  cfg.host.ttl_ms = args.num("shard-ttl-ms", 0.0);
+  cfg.service.sample_threads = args.count("threads", 0.0);
+  cfg.service.chunk_rows = args.count("chunk-rows", chunk_rows);
+  cfg.service.admission =
+      serve::parse_admission_policy(args.get("admission", admission));
+  cfg.service.max_queue_depth = args.count("max-queue", 0.0);
+  cfg.service.max_queued_rows = args.count("max-queued-rows", 0.0);
+  cfg.shards = std::max<std::size_t>(args.count("shards", 1.0), 1);
+  cfg.replication = std::max<std::size_t>(args.count("replicas", 1.0), 1);
+  const std::string remotes = args.get("remote-shards");
+  for (const auto raw : util::split(remotes, ',')) {
+    const auto entry = util::trim(raw);
+    if (entry.empty()) continue;
+    cfg.remotes.push_back(serve::parse_remote_endpoint(std::string(entry)));
+  }
+  return cfg;
+}
+
 int cmd_serve(const Args& args) {
-  const auto count = [&args](const std::string& key, double fallback) {
-    return count_flag(args, key, fallback);
-  };
-
-  serve::HostConfig host_cfg;
-  host_cfg.capacity = count("capacity", 4.0);
-  serve::ModelHost host(host_cfg);
-  register_serve_models(host, args);
-
-  serve::ServiceConfig svc_cfg;
-  svc_cfg.sample_threads = count("threads", 0.0);
-  svc_cfg.chunk_rows = count("chunk-rows", 4096.0);
-  svc_cfg.admission = serve::parse_admission_policy(
-      args.get("admission", "block"));
-  svc_cfg.max_queue_depth = count("max-queue", 0.0);
-  svc_cfg.max_queued_rows = count("max-queued-rows", 0.0);
-
   // --shards N > 1 swaps the single SampleService for a ShardPool (each
   // shard its own ModelHost + SampleService behind the consistent-hash
   // router), and --remote-shards HOST:PORT,... appends worker *processes*
@@ -796,45 +796,20 @@ int cmd_serve(const Args& args) {
   //
   // --worker pins the topology to one plain in-process shard: a worker is
   // a leaf, placement is its caller's concern.
+  serve::ShardPoolConfig backend_cfg = backend_flags(args, "block", 4096.0);
   const bool worker = args.flag("worker");
-  const std::size_t shards =
-      worker ? 1 : std::max<std::size_t>(count("shards", 1.0), 1);
-  std::vector<serve::RemoteShardConfig> remotes;
-  if (!worker && args.has("remote-shards")) {
-    const std::string spec = args.get("remote-shards");
-    for (const auto raw : util::split(spec, ',')) {
-      const auto entry = util::trim(raw);
-      if (entry.empty()) continue;
-      remotes.push_back(serve::parse_remote_endpoint(std::string(entry)));
-    }
+  if (worker) {
+    backend_cfg.shards = 1;
+    backend_cfg.remotes.clear();
   }
-  std::unique_ptr<serve::SampleService> single;
-  std::unique_ptr<serve::ShardPool> pool;
-  serve::SampleBackend* backend = nullptr;
-  if (shards > 1 || !remotes.empty()) {
-    serve::ShardPoolConfig pool_cfg;
-    pool_cfg.shards = shards;
-    pool_cfg.replication = std::max<std::size_t>(count("replicas", 1.0), 1);
-    pool_cfg.host.capacity = host_cfg.capacity;
-    pool_cfg.host.ttl_ms = args.num("shard-ttl-ms", 0.0);
-    pool_cfg.service = svc_cfg;
-    pool_cfg.remotes = std::move(remotes);
-    pool = std::make_unique<serve::ShardPool>(pool_cfg);
-    for (const auto& key : host.keys()) {
-      // Local owners load the archive by path; remote owners are verified
-      // to already serve the key (their --models flags name the archives).
-      pool->register_archive(key, host.archive_path(key));
-    }
-    backend = pool.get();
-  } else {
-    single = std::make_unique<serve::SampleService>(host, svc_cfg);
-    backend = single.get();
-  }
-  serve::SampleBackend& service = *backend;
+  serve::ModelHost host({.capacity = backend_cfg.host.capacity});
+  register_serve_models(host, args);
+  const serve::Backend backend = serve::make_backend(host, backend_cfg);
+  serve::SampleBackend& service = *backend.service;
 
   if (worker || args.has("listen")) {
     return cmd_serve_listen(args, service, host,
-                            pool ? pool->shards() : shards);
+                            backend.pool ? backend.pool->shards() : 1);
   }
 
   serve::ReplayScript script;
@@ -850,35 +825,34 @@ int cmd_serve(const Args& args) {
   }
 
   serve::ReplayOptions opts;
-  opts.clients = count("clients", 1.0);
-  opts.rounds = count("rounds", 1.0);
+  opts.clients = args.count("clients", 1.0);
+  opts.rounds = args.count("rounds", 1.0);
 
   const auto result = serve::run_replay(service, script, opts);
   const auto& s = result.stats;
+  const auto& n = result.counts;
   std::printf("serve: %llu/%llu jobs completed (%llu rows) from %zu "
               "clients over %zu models, %.2fs wall, simd %s\n",
-              static_cast<unsigned long long>(result.completed),
-              static_cast<unsigned long long>(result.jobs),
-              static_cast<unsigned long long>(result.rows), opts.clients,
+              static_cast<unsigned long long>(n.completed),
+              static_cast<unsigned long long>(n.submitted),
+              static_cast<unsigned long long>(n.rows), opts.clients,
               host.keys().size(), result.wall_seconds,
               linalg::simd::active_backend_name());
   std::printf("  throughput      %.0f rows/s  (%.1f jobs/s)\n",
               result.wall_seconds > 0.0
-                  ? static_cast<double>(result.rows) / result.wall_seconds
+                  ? static_cast<double>(n.rows) / result.wall_seconds
                   : 0.0,
               result.wall_seconds > 0.0
-                  ? static_cast<double>(result.completed) /
-                        result.wall_seconds
+                  ? static_cast<double>(n.completed) / result.wall_seconds
                   : 0.0);
   std::printf("  latency         p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n",
               s.p50_latency_ms, s.p95_latency_ms, s.p99_latency_ms);
-  if (result.rejected > 0 || result.shed > 0 ||
-      result.deadline_missed > 0) {
+  if (n.rejected > 0 || n.shed > 0 || n.deadline_missed > 0) {
     std::printf("  overload        %llu rejected, %llu shed, %llu "
                 "deadline-missed\n",
-                static_cast<unsigned long long>(result.rejected),
-                static_cast<unsigned long long>(result.shed),
-                static_cast<unsigned long long>(result.deadline_missed));
+                static_cast<unsigned long long>(n.rejected),
+                static_cast<unsigned long long>(n.shed),
+                static_cast<unsigned long long>(n.deadline_missed));
   }
   std::printf("  cache           %.0f%% hit rate, %llu loads, %llu "
               "evictions (capacity %zu)\n",
@@ -888,9 +862,9 @@ int cmd_serve(const Args& args) {
               s.host.capacity);
   std::printf("  output hash     %016llx\n",
               static_cast<unsigned long long>(result.output_hash));
-  if (result.failures > 0) {
+  if (n.failed > 0) {
     std::fprintf(stderr, "warning: %llu request(s) failed\n",
-                 static_cast<unsigned long long>(result.failures));
+                 static_cast<unsigned long long>(n.failed));
   }
 
   const std::string out = args.get("json-out", "serve_stats.json");
@@ -898,20 +872,14 @@ int cmd_serve(const Args& args) {
   if (!file) throw std::runtime_error("cannot write " + out);
   file << serve::serve_stats_to_json(service, opts, result) << '\n';
   std::printf("wrote %s\n", out.c_str());
-  return result.failures == 0 ? 0 : 1;
+  return n.failed == 0 ? 0 : 1;
 }
 
 int cmd_soak(const Args& args) {
-  const auto count = [&args](const std::string& key, double fallback) {
-    return count_flag(args, key, fallback);
-  };
-
-  serve::HostConfig host_cfg;
-  host_cfg.capacity = count("capacity", 4.0);
-  serve::ModelHost host(host_cfg);
-  register_serve_models(host, args);
-
   serve::SoakConfig soak;
+  soak.backend = backend_flags(args, "reject", 1024.0);
+  serve::ModelHost host({.capacity = soak.backend.host.capacity});
+  register_serve_models(host, args);
   soak.models = host.keys();
   const std::string load_spec = args.get("load");  // split() keeps views
   if (args.has("load")) {
@@ -927,35 +895,14 @@ int cmd_soak(const Args& args) {
       soak.load_multipliers.push_back(m);
     }
   }
-  soak.clients = count("clients", 4.0);
-  soak.rows_per_job = count("rows", 1000.0);
-  soak.chunk_rows = count("chunk-rows", 1024.0);
-  soak.seed_streams = count("streams", 4.0);
-  // Range-checked like every count flag: a negative double → uint64 cast
-  // is UB, not a wrap.
-  soak.seed = static_cast<std::uint64_t>(count("seed", 42.0));
+  soak.clients = args.count("clients", 4.0);
+  soak.rows_per_job = args.count("rows", 1000.0);
+  soak.seed_streams = args.count("streams", 4.0);
+  soak.seed = args.count("seed", 42.0);
   soak.duration_seconds = args.num("duration", 2.0);
   soak.deadline_ms = args.num("deadline-ms", 0.0);
-  soak.admission = serve::parse_admission_policy(
-      args.get("admission", "reject"));
-  soak.max_queue_depth = count("max-queue", 0.0);
-  soak.max_queued_rows = count("max-queued-rows", 0.0);
-  soak.sample_threads = count("threads", 0.0);
   soak.verbose = args.flag("verbose");
   soak.over_socket = args.flag("over-socket");
-  soak.shards = std::max<std::size_t>(count("shards", 1.0), 1);
-  soak.replicas = std::max<std::size_t>(count("replicas", 1.0), 1);
-  soak.shard_ttl_ms = args.num("shard-ttl-ms", 0.0);
-  if (args.has("remote-shards")) {
-    const std::string spec = args.get("remote-shards");
-    for (const auto raw : util::split(spec, ',')) {
-      const auto entry = util::trim(raw);
-      if (entry.empty()) continue;
-      // Validate now so a typo fails before calibration, not mid-sweep.
-      (void)serve::parse_remote_endpoint(std::string(entry));
-      soak.remote_shards.push_back(std::string(entry));
-    }
-  }
   if (!(soak.duration_seconds > 0.0)) {
     throw std::invalid_argument("soak: --duration must be positive");
   }
@@ -964,7 +911,7 @@ int cmd_soak(const Args& args) {
   std::printf("soak: %zu models, capacity %.1f jobs/s, admission %s "
               "(depth %zu), transport %s\n",
               soak.models.size(), result.capacity_jobs_per_sec,
-              serve::admission_policy_name(soak.admission),
+              serve::admission_policy_name(soak.backend.service.admission),
               soak.effective_queue_depth(),
               soak.over_socket ? "socket" : "in-process");
   std::printf("%s", serve::render_soak(result).c_str());
@@ -996,21 +943,17 @@ const char* g_argv0 = nullptr;  // set once in main(), read by cmd_fleet
 /// job's bytes are identical whether it runs here or in a worker process —
 /// before tearing the fleet down gracefully (workers must exit 0).
 int cmd_fleet(const Args& args) {
-  const auto count = [&args](const std::string& key, double fallback) {
-    return count_flag(args, key, fallback);
-  };
-
   // The reference registry: same --models/--models-dir the workers get,
   // loaded in-process for the unsharded expected digests.
   serve::HostConfig host_cfg;
-  host_cfg.capacity = count("capacity", 4.0);
+  host_cfg.capacity = args.count("capacity", 4.0);
   serve::ModelHost host(host_cfg);
   register_serve_models(host, args);
 
   serve::WorkerFleetConfig fleet_cfg;
   fleet_cfg.cli_path =
       args.has("cli") ? args.get("cli") : self_exe_path(g_argv0);
-  fleet_cfg.workers = std::max<std::size_t>(count("workers", 2.0), 1);
+  fleet_cfg.workers = std::max<std::size_t>(args.count("workers", 2.0), 1);
   fleet_cfg.ready_timeout_seconds = args.num("ready-timeout", 60.0);
   if (args.has("models")) {
     fleet_cfg.serve_args.push_back("--models");
@@ -1038,46 +981,32 @@ int cmd_fleet(const Args& args) {
   // Mixed pool: --local-shards in-process shards (0 = remote-only) plus
   // every worker as a remote shard.
   serve::ShardPoolConfig pool_cfg;
-  pool_cfg.shards = count("local-shards", 1.0);
-  pool_cfg.replication = std::max<std::size_t>(count("replicas", 2.0), 1);
+  pool_cfg.shards = args.count("local-shards", 1.0);
+  pool_cfg.replication = std::max<std::size_t>(args.count("replicas", 2.0), 1);
   pool_cfg.host.capacity = host_cfg.capacity;
-  pool_cfg.service.chunk_rows = count("chunk-rows", 1024.0);
+  pool_cfg.service.chunk_rows = args.count("chunk-rows", 1024.0);
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     serve::RemoteShardConfig rc;
     rc.port = fleet.port(i);
     pool_cfg.remotes.push_back(rc);
   }
-  serve::ShardPool pool(pool_cfg);
-  for (const auto& key : host.keys()) {
-    pool.register_archive(key, host.archive_path(key));
-  }
+  const serve::Backend backend = serve::make_backend(host, pool_cfg);
+  serve::ShardPool& pool = *backend.pool;  // remotes: always a pool
 
   // The determinism probe: every model sampled through the mixed pool must
   // match a direct in-process sample of the same (rows, seed, chunk_rows)
   // identity bit for bit — placement (local shard, worker process, which
   // replica won the lease) never changes bytes.
-  const std::size_t rows = std::max<std::size_t>(count("rows", 512.0), 1);
-  const std::uint64_t seed = static_cast<std::uint64_t>(count("seed", 1234.0));
+  const std::size_t rows = std::max<std::size_t>(args.count("rows", 512.0), 1);
+  const std::uint64_t seed = args.count("seed", 1234.0);
   const std::size_t chunk_rows =
-      std::max<std::size_t>(count("chunk-rows", 1024.0), 1);
+      std::max<std::size_t>(args.count("chunk-rows", 1024.0), 1);
   bool all_ok = true;
   for (const auto& key : host.keys()) {
-    serve::SampleJob job;
-    job.model_key = key;
-    job.rows = rows;
-    job.seed = seed;
-    job.chunk_rows = chunk_rows;
-    const tabular::Table pooled = pool.sample(std::move(job));
-
-    models::SampleRequest direct;
-    direct.rows = rows;
-    direct.seed = seed;
-    direct.chunk_rows = chunk_rows;
-    tabular::Table local;
-    host.acquire(key)->sample_into(local, direct);
-
+    const serve::SampleJob job{key, rows, seed, chunk_rows};
+    const tabular::Table pooled = pool.sample(job);
     const auto pooled_hash = serve::hash_table(pooled);
-    const bool ok = pooled_hash == serve::hash_table(local);
+    const bool ok = pooled_hash == serve::expected_digest(host, job);
     all_ok = all_ok && ok;
     std::printf("fleet: %-10s %zu rows, digest %016llx %s\n", key.c_str(),
                 pooled.num_rows(),
@@ -1155,7 +1084,7 @@ int cmd_twin(const Args& args) {
     panda::GeneratorConfig gcfg;
     gcfg.model.days = args.num("days", 14.0);
     gcfg.model.base_jobs_per_day = args.num("rate", 120.0);
-    gcfg.seed = static_cast<std::uint64_t>(args.num("seed", 7.0));
+    gcfg.seed = args.count("seed", 7.0);
     panda::RecordGenerator gen(gcfg);
     real = panda::build_job_table(gen.generate(), gen.catalog(), nullptr);
   }
@@ -1165,9 +1094,9 @@ int cmd_twin(const Args& args) {
 
   // 2. Fit the surrogate on the real stream.
   models::TrainBudget budget;
-  budget.epochs = static_cast<std::size_t>(args.num("epochs", 12.0));
+  budget.epochs = args.count("epochs", 12.0);
   budget.log_every_epochs = args.flag("verbose") ? 1 : 1000;
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 7.0));
+  const std::uint64_t seed = args.count("seed", 7.0);
   const std::string key = args.get("model", "smote");
   (void)model_info_or_throw(key);
   auto model = models::make_generator(key, budget, seed);
@@ -1180,12 +1109,10 @@ int cmd_twin(const Args& args) {
   // serving determinism contract says a job's output depends only on
   // (model, rows, seed, chunk_rows).
   models::SampleRequest request;
-  request.rows = static_cast<std::size_t>(
-      args.num("rows", static_cast<double>(real.num_rows())));
+  request.rows = args.count("rows", static_cast<double>(real.num_rows()));
   request.seed = seed ^ 0xFEEDULL;
-  request.chunk_rows =
-      static_cast<std::size_t>(args.num("chunk-rows", 4096.0));
-  request.threads = static_cast<std::size_t>(args.num("threads", 0.0));
+  request.chunk_rows = args.count("chunk-rows", 4096.0);
+  request.threads = args.count("threads", 0.0);
   tabular::Table synth;
   if (args.flag("via-service")) {
     serve::ModelHost host;
@@ -1220,15 +1147,12 @@ int cmd_twin(const Args& args) {
   }
   cfg.disruption.intensity = args.num("intensity", 0.3);
   cfg.disruption.seed = seed;
-  cfg.disruption.outage_sites =
-      static_cast<std::size_t>(args.num("outage-sites", 2.0));
+  cfg.disruption.outage_sites = args.count("outage-sites", 2.0);
   cfg.drift.intensity = args.num("drift-intensity", 0.15);
   cfg.drift.seed = seed;
-  cfg.bridge.seed = static_cast<std::uint64_t>(args.num("bridge-seed", 1.0));
-  cfg.sim_seed = static_cast<std::uint64_t>(args.num("sim-seed", 7.0));
-  cfg.threads = args.flag("serial")
-                    ? 1
-                    : static_cast<std::size_t>(args.num("threads", 0.0));
+  cfg.bridge.seed = args.count("bridge-seed", 1.0);
+  cfg.sim_seed = args.count("sim-seed", 7.0);
+  cfg.threads = args.flag("serial") ? 1 : args.count("threads", 0.0);
   cfg.verbose = args.flag("verbose");
 
   const auto catalog = panda::SiteCatalog::make_default();
