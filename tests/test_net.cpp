@@ -797,7 +797,7 @@ TEST(SoakOverSocket, InProcessSocketAndShardedRunsAgree) {
     for (const auto& point : run->points) {
       EXPECT_EQ(point.counts.failed, 0u) << "load " << point.multiplier;
       EXPECT_GT(point.counts.completed, 0u) << "load " << point.multiplier;
-      // The driver's floor: a point never stops short of its minimum.
+      // drive_load's floor: a point never stops short of its minimum.
       EXPECT_GE(point.counts.submitted, cfg.effective_min_jobs())
           << "load " << point.multiplier;
     }
