@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -68,10 +69,23 @@ WorkerFleet::WorkerFleet(WorkerFleetConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.workers == 0) {
     throw std::invalid_argument("worker fleet: needs at least one worker");
   }
-  scratch_ = cfg_.scratch_dir.empty() ? make_scratch_dir() : cfg_.scratch_dir;
+  owns_scratch_ = cfg_.scratch_dir.empty();
+  scratch_ = owns_scratch_ ? make_scratch_dir() : cfg_.scratch_dir;
 }
 
-WorkerFleet::~WorkerFleet() { kill_all(); }
+WorkerFleet::~WorkerFleet() {
+  kill_all();
+  // Keep the logs after any unclean ending: the errors from start() and
+  // `surro_cli fleet` point at them.
+  const bool clean = std::all_of(
+      workers_.begin(), workers_.end(), [](const Worker& w) {
+        return WIFEXITED(w.exit_status) && WEXITSTATUS(w.exit_status) == 0;
+      });
+  if (owns_scratch_ && clean) {
+    std::error_code ec;
+    std::filesystem::remove_all(scratch_, ec);
+  }
+}
 
 void WorkerFleet::spawn(std::size_t index) {
   Worker w;

@@ -38,7 +38,8 @@ class WorkerFleet {
  public:
   explicit WorkerFleet(WorkerFleetConfig cfg);
   /// SIGKILLs anything still alive (call shutdown() first for the
-  /// graceful path).
+  /// graceful path). A temp dir the fleet made itself is deleted when
+  /// every worker exited 0, and kept after any other ending.
   ~WorkerFleet();
 
   WorkerFleet(const WorkerFleet&) = delete;
@@ -81,6 +82,7 @@ class WorkerFleet {
 
   WorkerFleetConfig cfg_;
   std::string scratch_;
+  bool owns_scratch_ = false;
   std::vector<Worker> workers_;
 };
 

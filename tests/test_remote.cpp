@@ -661,6 +661,10 @@ TEST(MultiProcess, FleetConformanceKillOneRerouteAndGracefulExit) {
   WorkerFleetConfig fleet_cfg;
   fleet_cfg.cli_path = SURRO_CLI_PATH;
   fleet_cfg.workers = 2;
+  // A killed worker makes the fleet keep its logs; keep them in this
+  // file's own temp dir, which is removed at exit.
+  fleet_cfg.scratch_dir = (archives().dir / "kill_fleet").string();
+  std::filesystem::create_directories(fleet_cfg.scratch_dir);
   fleet_cfg.serve_args = {"--models-dir", archives().dir.string(),
                           "--capacity",
                           std::to_string(archives().keys.size()),
@@ -708,16 +712,21 @@ TEST(MultiProcess, FleetShutdownAloneIsCleanExitZero) {
   fleet_cfg.workers = 2;
   fleet_cfg.serve_args = {"--models-dir", archives().dir.string(),
                           "--serve-seconds", "300"};
-  WorkerFleet fleet(fleet_cfg);
-  fleet.start();
+  auto fleet = std::make_unique<WorkerFleet>(fleet_cfg);
+  fleet->start();
   // A couple of real jobs through a remote-only pool first, so the drain
   // path has actually seen traffic.
-  auto pool = make_mixed_pool(0, {fleet.port(0), fleet.port(1)},
+  auto pool = make_mixed_pool(0, {fleet->port(0), fleet->port(1)},
                               /*replicas=*/2);
   expect_tables_identical(pool->sample(make_job({"smote", 11})),
                           direct_sample({"smote", 11}));
   pool.reset();
-  EXPECT_EQ(fleet.shutdown(30.0), 0);  // every worker exited 0 on SIGTERM
+  EXPECT_EQ(fleet->shutdown(30.0), 0);  // every worker exited 0 on SIGTERM
+  // A clean fleet leaves no temp dir behind.
+  const std::string scratch = fleet->scratch_dir();
+  ASSERT_TRUE(std::filesystem::is_directory(scratch));
+  fleet.reset();
+  EXPECT_FALSE(std::filesystem::exists(scratch));
 }
 #endif  // SURRO_CLI_PATH
 
