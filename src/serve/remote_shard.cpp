@@ -21,7 +21,7 @@ RemoteShardConfig parse_remote_endpoint(const std::string& spec) {
                                    port_text.data() + port_text.size(), port);
   if (res.ec != std::errc{} || res.ptr != port_text.data() + port_text.size() ||
       port == 0 || port > 65535) {
-    throw std::invalid_argument("bad remote shard endpoint '" + spec +
+    throw std::invalid_argument("bad endpoint '" + spec +
                                 "' (want host:port)");
   }
   cfg.port = static_cast<std::uint16_t>(port);

@@ -707,22 +707,8 @@ int cmd_serve_listen(const Args& args, serve::SampleBackend& service,
 /// Command-line HTTP client for the REST API (the container has no curl;
 /// CI and the docs drive the server with this).
 int cmd_request(const Args& args) {
-  const std::string connect = args.get("connect", "127.0.0.1:8080");
-  const auto colon = connect.rfind(':');
-  if (colon == std::string::npos) {
-    throw std::invalid_argument("request: --connect wants HOST:PORT");
-  }
-  const std::string host = connect.substr(0, colon);
-  const std::string port_text = connect.substr(colon + 1);
-  unsigned long port = 0;
-  try {
-    port = std::stoul(port_text);
-  } catch (const std::exception&) {
-    port = 0;
-  }
-  if (port == 0 || port > 65535) {
-    throw std::invalid_argument("request: bad port in --connect");
-  }
+  const serve::RemoteShardConfig endpoint =
+      serve::parse_remote_endpoint(args.get("connect", "127.0.0.1:8080"));
 
   std::string body = args.get("body");
   if (args.has("body-file")) {
@@ -737,7 +723,7 @@ int cmd_request(const Args& args) {
   if (args.has("key")) headers["x-api-key"] = args.get("key");
   if (!body.empty()) headers["content-type"] = "application/json";
 
-  net::HttpClient http(host, static_cast<std::uint16_t>(port),
+  net::HttpClient http(endpoint.host, endpoint.port,
                        args.num("max-time", 30.0));
   const net::HttpResponse response =
       http.request(args.get("method", body.empty() ? "GET" : "POST"),
