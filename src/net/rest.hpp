@@ -111,8 +111,6 @@ class RestApi {
     std::uint64_t harvest_seq = 0;  // purge order among resolved entries
   };
 
-  HttpResponse dispatch(const HttpRequest& request,
-                        const std::string& route);
   HttpResponse handle_models();
   HttpResponse handle_submit(const HttpRequest& request);
   HttpResponse handle_job_get(const HttpRequest& request, std::uint64_t id);
