@@ -9,8 +9,7 @@
 // (model, rows, seed, chunk_rows) identity directly, so rejections, sheds,
 // and deadline kills interleaved around a job can never change what it
 // returns. Consumed by `surro_cli soak`, the repo's one overload harness;
-// the JSON artifact (kind "serve_soak") is what the soak-smoke CI job
-// validates.
+// tools/check_artifact.py checks its JSON artifact (kind "serve_soak").
 
 #include <cstdint>
 #include <string>
