@@ -94,8 +94,9 @@ void gemm_acc(const Matrix& a, const Matrix& b, Matrix& out) {
       [&](std::size_t lo, std::size_t hi) {
         // k is blocked in fixed kKC panels; within a panel the backend's
         // register-tiled micro-kernel accumulates k-ascending per element,
-        // so every element's chain is fixed no matter how rows were
-        // chunked across threads.
+        // skipping a step only where that row's A value is zero, whichever
+        // row tile the chunk puts the row in. So every element's chain is
+        // fixed no matter how rows were chunked across threads.
         for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
           const std::size_t kc = std::min(kKC, k - p0);
           kern.gemm_block_f32(a.data() + lo * k + p0, k, b.data() + p0 * n, n,

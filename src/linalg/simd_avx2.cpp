@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace surro::linalg::simd {
 namespace {
@@ -185,165 +186,147 @@ void scale_f32_avx2(float a, float* x, std::size_t n) {
   for (; i < n; ++i) x[i] *= a;
 }
 
-// Register-tiled C += A·B micro-kernel: MR=4 rows x NR=16 columns (two
-// __m256 per row, eight accumulators) with FMA. gemm_block is in the
+// Register-tiled C += A·B micro-kernel with FMA. gemm_block is in the
 // documented-ULP family — its bytes may differ from the scalar backend
 // (fused multiply-add skips the intermediate rounding) — but every
-// per-element chain is fixed: k ascends, a p-step is applied iff that ROW's
-// A value is nonzero, and the column partition into 16-wide / 8-wide /
-// scalar-tail segments depends only on n. Which code path a row takes (the
-// 4-row tile vs the m-tail below) therefore cannot change its result, so
-// the caller's thread chunking — which decides exactly that — cannot
-// change the output bytes.
-void gemm_block_f32_avx2(const float* a, std::size_t lda, const float* b,
-                         std::size_t ldb, float* c, std::size_t ldc,
-                         std::size_t m, std::size_t k, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float* a0 = a + i * lda;
-    const float* a1 = a0 + lda;
-    const float* a2 = a1 + lda;
-    const float* a3 = a2 + lda;
-    float* c0 = c + i * ldc;
-    float* c1 = c0 + ldc;
-    float* c2 = c1 + ldc;
-    float* c3 = c2 + ldc;
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256 acc0a = _mm256_loadu_ps(c0 + j);
-      __m256 acc0b = _mm256_loadu_ps(c0 + j + 8);
-      __m256 acc1a = _mm256_loadu_ps(c1 + j);
-      __m256 acc1b = _mm256_loadu_ps(c1 + j + 8);
-      __m256 acc2a = _mm256_loadu_ps(c2 + j);
-      __m256 acc2b = _mm256_loadu_ps(c2 + j + 8);
-      __m256 acc3a = _mm256_loadu_ps(c3 + j);
-      __m256 acc3b = _mm256_loadu_ps(c3 + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av0 = a0[p];
-        const float av1 = a1[p];
-        const float av2 = a2[p];
-        const float av3 = a3[p];
-        if (av0 == 0.0f && av1 == 0.0f && av2 == 0.0f && av3 == 0.0f)
-          continue;
-        const __m256 bva = _mm256_loadu_ps(b + p * ldb + j);
-        const __m256 bvb = _mm256_loadu_ps(b + p * ldb + j + 8);
-        // Per-row skip keeps a row's chain independent of how rows were
-        // grouped into tiles — i.e. of the caller's thread chunking — and
-        // preserves the sparsity win on one-hot-encoded inputs.
-        if (av0 != 0.0f) {
-          const __m256 va = _mm256_set1_ps(av0);
-          acc0a = _mm256_fmadd_ps(va, bva, acc0a);
-          acc0b = _mm256_fmadd_ps(va, bvb, acc0b);
-        }
-        if (av1 != 0.0f) {
-          const __m256 va = _mm256_set1_ps(av1);
-          acc1a = _mm256_fmadd_ps(va, bva, acc1a);
-          acc1b = _mm256_fmadd_ps(va, bvb, acc1b);
-        }
-        if (av2 != 0.0f) {
-          const __m256 va = _mm256_set1_ps(av2);
-          acc2a = _mm256_fmadd_ps(va, bva, acc2a);
-          acc2b = _mm256_fmadd_ps(va, bvb, acc2b);
-        }
-        if (av3 != 0.0f) {
-          const __m256 va = _mm256_set1_ps(av3);
-          acc3a = _mm256_fmadd_ps(va, bva, acc3a);
-          acc3b = _mm256_fmadd_ps(va, bvb, acc3b);
+// per-element chain is fixed: it starts from C, k ascends, and a p-step is
+// one fused multiply-add applied iff that ROW's A value is nonzero. Rows go
+// in tiles of 6, then 4, then single rows; columns in 16-wide (two __m256
+// per row), 8-wide and one masked tail block of n mod 8 lanes. One template
+// computes every tile, so which tile a row lands in (decided by the
+// caller's thread chunking) cannot change its result, and neither can the
+// column block: each lane of each block runs the same chain.
+
+// Steps covered by one nonzero mask. Longer k is walked in panels of this
+// depth; C is stored and reloaded between panels, which is exact.
+constexpr std::size_t kMaskSteps = 256;
+
+// nz[p] gets bit r set iff row r's A value at step p is nonzero. NEQ_UQ
+// counts NaN as nonzero, as `av != 0.0f` does.
+template <int R>
+void nonzero_mask(const float* a, std::size_t lda, std::size_t kc,
+                  std::uint8_t* nz) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t p = 0;
+  for (; p + 8 <= kc; p += 8) {
+    __m256i bits = _mm256_setzero_si256();
+    for (int r = 0; r < R; ++r) {
+      const __m256 ne =
+          _mm256_cmp_ps(_mm256_loadu_ps(a + r * lda + p), zero, _CMP_NEQ_UQ);
+      bits = _mm256_or_si256(
+          bits, _mm256_and_si256(_mm256_castps_si256(ne),
+                                 _mm256_set1_epi32(1 << r)));
+    }
+    const __m128i words = _mm_packs_epi32(_mm256_castsi256_si128(bits),
+                                          _mm256_extracti128_si256(bits, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(nz + p),
+                     _mm_packus_epi16(words, words));
+  }
+  for (; p < kc; ++p) {
+    unsigned bits = 0;
+    for (int r = 0; r < R; ++r) {
+      bits |= static_cast<unsigned>(a[r * lda + p] != 0.0f) << r;
+    }
+    nz[p] = static_cast<std::uint8_t>(bits);
+  }
+}
+
+// C[R rows][V __m256] += A·B over kc steps. kMasked tiles are one vector
+// wide and touch only the lanes set in `lanes` (the n mod 8 column tail).
+// A step whose rows are all nonzero (dense layers) skips the per-row test,
+// and one whose rows are all zero (one-hot inputs) costs one byte load.
+template <int R, int V, bool kMasked>
+void gemm_tile(const float* a, std::size_t lda, const float* b,
+               std::size_t ldb, float* c, std::size_t ldc, std::size_t kc,
+               const std::uint8_t* nz, __m256i lanes) {
+  static_assert(!kMasked || V == 1, "the masked tail is one vector wide");
+  constexpr unsigned kAllRows = (1u << R) - 1;
+  __m256 acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = kMasked ? _mm256_maskload_ps(c + r * ldc, lanes)
+                          : _mm256_loadu_ps(c + r * ldc + 8 * v);
+    }
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    const unsigned rows = nz[p];
+    if (rows == 0) continue;
+    const float* bp = b + p * ldb;
+    __m256 bv[V];
+    for (int v = 0; v < V; ++v) {
+      bv[v] = kMasked ? _mm256_maskload_ps(bp, lanes)
+                      : _mm256_loadu_ps(bp + 8 * v);
+    }
+    if (rows == kAllRows) {
+      for (int r = 0; r < R; ++r) {
+        const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
+        for (int v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
         }
       }
-      _mm256_storeu_ps(c0 + j, acc0a);
-      _mm256_storeu_ps(c0 + j + 8, acc0b);
-      _mm256_storeu_ps(c1 + j, acc1a);
-      _mm256_storeu_ps(c1 + j + 8, acc1b);
-      _mm256_storeu_ps(c2 + j, acc2a);
-      _mm256_storeu_ps(c2 + j + 8, acc2b);
-      _mm256_storeu_ps(c3 + j, acc3a);
-      _mm256_storeu_ps(c3 + j + 8, acc3b);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc0 = _mm256_loadu_ps(c0 + j);
-      __m256 acc1 = _mm256_loadu_ps(c1 + j);
-      __m256 acc2 = _mm256_loadu_ps(c2 + j);
-      __m256 acc3 = _mm256_loadu_ps(c3 + j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av0 = a0[p];
-        const float av1 = a1[p];
-        const float av2 = a2[p];
-        const float av3 = a3[p];
-        if (av0 == 0.0f && av1 == 0.0f && av2 == 0.0f && av3 == 0.0f)
-          continue;
-        const __m256 bv = _mm256_loadu_ps(b + p * ldb + j);
-        if (av0 != 0.0f)
-          acc0 = _mm256_fmadd_ps(_mm256_set1_ps(av0), bv, acc0);
-        if (av1 != 0.0f)
-          acc1 = _mm256_fmadd_ps(_mm256_set1_ps(av1), bv, acc1);
-        if (av2 != 0.0f)
-          acc2 = _mm256_fmadd_ps(_mm256_set1_ps(av2), bv, acc2);
-        if (av3 != 0.0f)
-          acc3 = _mm256_fmadd_ps(_mm256_set1_ps(av3), bv, acc3);
-      }
-      _mm256_storeu_ps(c0 + j, acc0);
-      _mm256_storeu_ps(c1 + j, acc1);
-      _mm256_storeu_ps(c2 + j, acc2);
-      _mm256_storeu_ps(c3 + j, acc3);
-    }
-    if (j < n) {
-      // Scalar column tail: single-element FMA so the chain matches the
-      // m-tail's scalar tail below exactly.
-      for (std::size_t r = 0; r < 4; ++r) {
-        const float* ar = a + (i + r) * lda;
-        float* cr = c + (i + r) * ldc;
-        for (std::size_t p = 0; p < k; ++p) {
-          const float av = ar[p];
-          if (av == 0.0f) continue;
-          const float* br = b + p * ldb;
-          for (std::size_t jj = j; jj < n; ++jj) {
-            cr[jj] = __builtin_fmaf(av, br[jj], cr[jj]);
-          }
+    } else {
+      for (int r = 0; r < R; ++r) {
+        if ((rows >> r & 1u) == 0) continue;
+        const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
+        for (int v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
         }
       }
     }
   }
-  // m-tail: one row at a time, with the same column partition and the same
-  // per-element chains as the tiled path above.
-  for (; i < m; ++i) {
-    const float* ar = a + i * lda;
-    float* cr = c + i * ldc;
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      if (kMasked) {
+        _mm256_maskstore_ps(c + r * ldc, lanes, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
+      }
+    }
+  }
+}
+
+// C[R rows][n] += A·B: one nonzero mask per k-panel, shared by every
+// column block of the row tile.
+template <int R>
+void gemm_rows(const float* a, std::size_t lda, const float* b,
+               std::size_t ldb, float* c, std::size_t ldc, std::size_t k,
+               std::size_t n) {
+  std::uint8_t nz[kMaskSteps];
+  const __m256i tail =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n % 8)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  for (std::size_t p0 = 0; p0 < k; p0 += kMaskSteps) {
+    const std::size_t kc = std::min(kMaskSteps, k - p0);
+    const float* ap = a + p0;
+    const float* bp = b + p0 * ldb;
+    nonzero_mask<R>(ap, lda, kc, nz);
     std::size_t j = 0;
     for (; j + 16 <= n; j += 16) {
-      __m256 acca = _mm256_loadu_ps(cr + j);
-      __m256 accb = _mm256_loadu_ps(cr + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = ar[p];
-        if (av == 0.0f) continue;
-        const __m256 va = _mm256_set1_ps(av);
-        acca = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + p * ldb + j), acca);
-        accb = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + p * ldb + j + 8),
-                               accb);
-      }
-      _mm256_storeu_ps(cr + j, acca);
-      _mm256_storeu_ps(cr + j + 8, accb);
+      gemm_tile<R, 2, false>(ap, lda, bp + j, ldb, c + j, ldc, kc, nz, tail);
     }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_loadu_ps(cr + j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = ar[p];
-        if (av == 0.0f) continue;
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(av),
-                              _mm256_loadu_ps(b + p * ldb + j), acc);
-      }
-      _mm256_storeu_ps(cr + j, acc);
+    if (j + 8 <= n) {
+      gemm_tile<R, 1, false>(ap, lda, bp + j, ldb, c + j, ldc, kc, nz, tail);
+      j += 8;
     }
     if (j < n) {
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = ar[p];
-        if (av == 0.0f) continue;
-        const float* br = b + p * ldb;
-        for (std::size_t jj = j; jj < n; ++jj) {
-          cr[jj] = __builtin_fmaf(av, br[jj], cr[jj]);
-        }
-      }
+      gemm_tile<R, 1, true>(ap, lda, bp + j, ldb, c + j, ldc, kc, nz, tail);
     }
+  }
+}
+
+void gemm_block_f32_avx2(const float* a, std::size_t lda, const float* b,
+                         std::size_t ldb, float* c, std::size_t ldc,
+                         std::size_t m, std::size_t k, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 6 <= m; i += 6) {
+    gemm_rows<6>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k, n);
+  }
+  if (i + 4 <= m) {
+    gemm_rows<4>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k, n);
+    i += 4;
+  }
+  for (; i < m; ++i) {
+    gemm_rows<1>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k, n);
   }
 }
 

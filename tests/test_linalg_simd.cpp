@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -135,54 +136,106 @@ TEST(SimdKernels, AxpyFamilyBitwise) {
   }
 }
 
+// Per-element chain the AVX2 gemm_block must reproduce bit for bit: start
+// from C and, for p ascending, apply one std::fmaf wherever that row's A
+// value is nonzero.
+void gemm_block_fma_chain(const float* a, const float* b, float* c,
+                          std::size_t m, std::size_t k, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::size_t p = 0; p < k; ++p) {
+        const float av = a[i * k + p];
+        if (av != 0.0f) acc = std::fmaf(av, b[p * n + j], acc);
+      }
+      c[i * n + j] = acc;
+    }
+  }
+}
+
 // gemm_block is in the dot family: vector backends fuse multiply-add, so
-// agreement with scalar is close-with-tolerance, not bitwise. What IS
-// bitwise is thread-chunk independence, checked below: splitting the same
-// row panel at any tile-misaligned boundary must reproduce the unsplit
-// bytes exactly (the m-tail and the 4-row tile compute identical chains).
+// agreement with scalar is close-with-tolerance, not bitwise. The AVX2
+// kernel's bytes are pinned to gemm_block_fma_chain. Every backend must be
+// chunk invariant: splitting the row panel at any row boundary — how
+// parallel callers hand out row ranges, and so which row tile a row lands
+// in — must reproduce the unsplit bytes exactly. Buffers are sized exactly,
+// so ASan sees any access past the end of A, B or C.
 TEST(SimdKernels, GemmBlockCloseToScalarAndChunkInvariant) {
   const Kernels& ref = kernels_for(Backend::kScalar);
   util::Rng rng(23);
-  const std::size_t ms[] = {1, 3, 4, 5, 9};
-  const std::size_t ns[] = {1, 7, 8, 9, 17, 33};
-  const std::size_t ks[] = {1, 5, 64};
+  const std::size_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17};
+  const std::size_t ns[] = {1, 7, 8, 9, 15, 16, 17, 33, 90};
+  const std::size_t ks[] = {1, 5, 64, 122, 257};
+  enum class Pattern { kSparse, kDense, kOneHotRows, kZeroRow };
   for (const Backend backend : vector_backends()) {
     const Kernels& kern = kernels_for(backend);
+    const bool pinned = backend == Backend::kAvx2;
     for (const std::size_t m : ms) {
       for (const std::size_t n : ns) {
         for (const std::size_t k : ks) {
-          auto a = random_f32(m * k, rng);
-          const auto b = random_f32(k * n, rng);
-          // Exercise the sparsity skip: zero out a fraction of A.
-          for (float& v : a) {
-            if (rng.uniform() < 0.3) v = 0.0f;
-          }
-          const auto cinit = random_f32(m * n, rng);
-          auto c0 = cinit;
-          auto c1 = cinit;
-          ref.gemm_block_f32(a.data(), k, b.data(), n, c0.data(), n, m, k, n);
-          kern.gemm_block_f32(a.data(), k, b.data(), n, c1.data(), n, m, k,
-                              n);
-          for (std::size_t e = 0; e < m * n; ++e) {
-            ASSERT_NEAR(c0[e], c1[e], 1e-4f * (1.0f + std::abs(c0[e])))
-                << "gemm_block m=" << m << " n=" << n << " k=" << k
-                << " backend=" << backend_name(backend);
-          }
-          // Chunk invariance: process rows [0,split) and [split,m) as two
-          // calls — how parallel callers hand out row ranges — and require
-          // bytes identical to the single-call result.
-          for (const std::size_t split : {std::size_t{1}, m / 2, m - 1}) {
-            if (split == 0 || split >= m) continue;
-            auto parts = cinit;
-            kern.gemm_block_f32(a.data(), k, b.data(), n, parts.data(), n,
-                                split, k, n);
-            kern.gemm_block_f32(a.data() + split * k, k, b.data(), n,
-                                parts.data() + split * n, n, m - split, k,
-                                n);
-            ASSERT_EQ(0, std::memcmp(c1.data(), parts.data(),
-                                     m * n * sizeof(float)))
-                << "split=" << split << " m=" << m << " n=" << n
-                << " k=" << k << " backend=" << backend_name(backend);
+          for (const Pattern pattern :
+               {Pattern::kSparse, Pattern::kDense, Pattern::kOneHotRows,
+                Pattern::kZeroRow}) {
+            auto a = random_f32(m * k, rng);
+            const auto b = random_f32(k * n, rng);
+            if (pattern == Pattern::kSparse) {
+              // Exercise the per-row sparsity skip.
+              for (float& v : a) {
+                if (rng.uniform() < 0.3) v = 0.0f;
+              }
+            } else if (pattern == Pattern::kOneHotRows) {
+              std::fill(a.begin(), a.end(), 0.0f);
+              for (std::size_t i = 0; i < m; ++i) {
+                a[i * k + rng.uniform_index(k)] = 1.0f;
+              }
+            } else if (pattern == Pattern::kZeroRow) {
+              std::fill_n(a.begin() + (m / 2) * k, k, 0.0f);
+            }
+            const auto cinit = random_f32(m * n, rng);
+            auto c0 = cinit;
+            auto c1 = cinit;
+            ref.gemm_block_f32(a.data(), k, b.data(), n, c0.data(), n, m, k,
+                               n);
+            kern.gemm_block_f32(a.data(), k, b.data(), n, c1.data(), n, m,
+                                k, n);
+            const auto where = [&] {
+              return ::testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k
+                     << " pattern=" << static_cast<int>(pattern)
+                     << " backend=" << backend_name(backend);
+            };
+            for (std::size_t e = 0; e < m * n; ++e) {
+              ASSERT_NEAR(c0[e], c1[e], 1e-4f * (1.0f + std::abs(c0[e])))
+                  << "gemm_block vs scalar " << where();
+            }
+            if (pinned) {
+              auto chain = cinit;
+              gemm_block_fma_chain(a.data(), b.data(), chain.data(), m, k,
+                                   n);
+              ASSERT_EQ(0, std::memcmp(chain.data(), c1.data(),
+                                       m * n * sizeof(float)))
+                  << "gemm_block vs fmaf chain " << where();
+            }
+            // Chunk invariance: rows [0,split) and [split,m) as two calls,
+            // each on exactly sized copies of its rows.
+            for (std::size_t split = 1; split < m; ++split) {
+              std::vector<float> a_top(a.begin(), a.begin() + split * k);
+              std::vector<float> a_bot(a.begin() + split * k, a.end());
+              std::vector<float> c_top(cinit.begin(),
+                                       cinit.begin() + split * n);
+              std::vector<float> c_bot(cinit.begin() + split * n,
+                                       cinit.end());
+              kern.gemm_block_f32(a_top.data(), k, b.data(), n, c_top.data(),
+                                  n, split, k, n);
+              kern.gemm_block_f32(a_bot.data(), k, b.data(), n, c_bot.data(),
+                                  n, m - split, k, n);
+              ASSERT_EQ(0, std::memcmp(c1.data(), c_top.data(),
+                                       split * n * sizeof(float)))
+                  << "split=" << split << " " << where();
+              ASSERT_EQ(0, std::memcmp(c1.data() + split * n, c_bot.data(),
+                                       (m - split) * n * sizeof(float)))
+                  << "split=" << split << " " << where();
+            }
           }
         }
       }
@@ -324,7 +377,7 @@ TEST(SimdKernels, JsdAccClose) {
 TEST(SimdOps, GemmFamilyMatchesScalarBackend) {
   BackendGuard guard;
   util::Rng rng(53);
-  Matrix a(13, 37), b(37, 21), at(13, 37);
+  Matrix a(13, 37), b(37, 21), at(37, 13);
   for (float& v : a.flat()) v = static_cast<float>(rng.normal());
   for (float& v : b.flat()) v = rng.uniform() < 0.2 ? 0.0f
                                  : static_cast<float>(rng.normal());
