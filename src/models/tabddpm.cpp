@@ -19,16 +19,9 @@ TabDdpm::TabDdpm(TabDdpmConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
 
 void TabDdpm::embed_time(std::size_t t, linalg::Matrix& out, std::size_t row,
                          std::size_t offset) const {
-  // Transformer-style sinusoidal embedding of the (normalized) timestep.
-  const std::size_t half = cfg_.time_embed_dim / 2;
-  const double pos = static_cast<double>(t);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double freq =
-        std::exp(-std::log(10000.0) * static_cast<double>(k) /
-                 static_cast<double>(std::max<std::size_t>(half - 1, 1)));
-    out(row, offset + k) = static_cast<float>(std::sin(pos * freq));
-    out(row, offset + half + k) = static_cast<float>(std::cos(pos * freq));
-  }
+  const std::size_t dim = cfg_.time_embed_dim;
+  std::copy_n(time_embed_.data() + t * dim, dim,
+              out.data() + row * out.cols() + offset);
 }
 
 void TabDdpm::build_schedule() {
@@ -51,6 +44,22 @@ void TabDdpm::build_schedule() {
         std::clamp(1.0 - alpha_bar_[t + 1] / alpha_bar_[t], 1e-5, 0.999);
     betas_[t] = beta;
     alphas_[t] = 1.0 - beta;
+  }
+  // Transformer-style sinusoidal embedding of each timestep. An odd
+  // dimension leaves its last column 0.
+  const std::size_t dim = cfg_.time_embed_dim;
+  const std::size_t half = dim / 2;
+  time_embed_.assign((T + 1) * dim, 0.0f);
+  for (std::size_t t = 0; t <= T; ++t) {
+    float* row = time_embed_.data() + t * dim;
+    const double pos = static_cast<double>(t);
+    for (std::size_t k = 0; k < half; ++k) {
+      const double freq =
+          std::exp(-std::log(10000.0) * static_cast<double>(k) /
+                   static_cast<double>(std::max<std::size_t>(half - 1, 1)));
+      row[k] = static_cast<float>(std::sin(pos * freq));
+      row[half + k] = static_cast<float>(std::cos(pos * freq));
+    }
   }
 }
 
@@ -430,10 +439,32 @@ void TabDdpm::load(std::istream& is) {
   if (version != 1 && version != 2) {
     throw std::runtime_error("tabddpm: unsupported payload");
   }
-  cfg_.timesteps = static_cast<std::size_t>(util::io::read_u64(is));
-  cfg_.time_embed_dim = static_cast<std::size_t>(util::io::read_u64(is));
+  const std::uint64_t timesteps = util::io::read_u64(is);
+  const std::uint64_t time_embed_dim = util::io::read_u64(is);
+  if (timesteps < 2 || timesteps > util::io::kMaxSerializedElements) {
+    throw std::runtime_error("tabddpm: implausible timestep count in archive");
+  }
   encoder_.load(is);
   net_ = nn::load_mlp(is);
+  // The denoiser maps [x_t | time embedding] to [eps | x0 logits]; an
+  // archive whose shape fields disagree with its layers would read past
+  // the first weight matrix at sampling time.
+  const std::size_t width = encoder_.encoded_width();
+  const nn::Linear* first = nullptr;
+  const nn::Linear* last = nullptr;
+  for (std::size_t i = 0; i < net_.num_layers(); ++i) {
+    if (const auto* lin = dynamic_cast<const nn::Linear*>(&net_.layer(i))) {
+      if (i == 0) first = lin;
+      last = lin;
+    }
+  }
+  if (first == nullptr || first->in_dim() < width ||
+      first->in_dim() - width != time_embed_dim || last->out_dim() != width) {
+    throw std::runtime_error(
+        "tabddpm: archive shape fields do not match its denoiser");
+  }
+  cfg_.timesteps = static_cast<std::size_t>(timesteps);
+  cfg_.time_embed_dim = static_cast<std::size_t>(time_embed_dim);
   if (version >= 2 && util::io::read_u32(is) != 0) {
     cfg_.budget.learning_rate = util::io::read_f32(is);
     cfg_.budget.epochs = static_cast<std::size_t>(util::io::read_u64(is));

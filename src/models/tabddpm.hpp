@@ -74,12 +74,13 @@ class TabDdpm final : public TabularGenerator {
       std::size_t draws = 4, std::uint64_t seed = 97) const;
 
  private:
-  /// Write the sinusoidal embedding of timestep t into out[row, offset..).
+  /// Copy the sinusoidal embedding of timestep t into out[row, offset..).
   void embed_time(std::size_t t, linalg::Matrix& out, std::size_t row,
                   std::size_t offset) const;
 
-  /// (Re)compute the cosine beta/alpha schedule from cfg_.timesteps — a
-  /// pure function of the config, shared by fit() and load().
+  /// (Re)compute the cosine beta/alpha schedule and the time-embedding
+  /// table from cfg_.timesteps and cfg_.time_embed_dim — a pure function of
+  /// the config, shared by fit() and load().
   void build_schedule();
 
   /// Run `epochs` denoising epochs over encoded rows, advancing the shared
@@ -96,6 +97,8 @@ class TabDdpm final : public TabularGenerator {
   std::vector<double> betas_;
   std::vector<double> alphas_;
   std::vector<double> alpha_bar_;
+  // (T + 1) x time_embed_dim: row t is the embedding of timestep t.
+  std::vector<float> time_embed_;
   // Training state retained for warm_fit (absent after a state-less load).
   std::unique_ptr<nn::AdamW> opt_;
   std::size_t opt_steps_ = 0;

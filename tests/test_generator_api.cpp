@@ -16,6 +16,7 @@
 #include "core/pipeline.hpp"
 #include "models/generator.hpp"
 #include "models/tvae.hpp"
+#include "serve/replay.hpp"
 #include "util/rng.hpp"
 
 namespace surro::models {
@@ -345,6 +346,41 @@ TEST(ModelArchive, TruncatedStreamIsRejected) {
   const std::string full = archive.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_model(truncated), std::runtime_error);
+}
+
+// TabDDPM's payload opens with tag "DDPM", a u32 version, then the u64
+// timesteps and time_embed_dim that size its schedule and the denoiser's
+// input. Doctored values must be rejected at load: a wrong embedding width
+// makes sampling read past the first weight matrix, and 2^64 - 1 timesteps
+// wraps the schedule's size.
+TEST(ModelArchive, TabDdpmShapeFieldsAreChecked) {
+  const auto train = cluster_table(200, 33);
+  auto model = make_generator("tabddpm", tiny_budget(), 7);
+  model->fit(train);
+  std::stringstream archive;
+  save_model(*model, archive);
+  const std::string full = archive.str();
+  const std::size_t payload = full.find("DDPM");
+  ASSERT_NE(payload, std::string::npos);
+  const auto doctored = [&](std::size_t field_offset, std::uint64_t value) {
+    std::string bytes = full;
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[payload + field_offset + i] = static_cast<char>(value >> (8 * i));
+    }
+    return bytes;
+  };
+  constexpr std::size_t kTimesteps = 8;
+  constexpr std::size_t kTimeEmbedDim = 16;
+  for (const std::string& bad :
+       {doctored(kTimeEmbedDim, 34), doctored(kTimesteps, 0),
+        doctored(kTimesteps, 1), doctored(kTimesteps, ~std::uint64_t{0})}) {
+    std::stringstream is(bad);
+    EXPECT_THROW((void)load_model(is), std::runtime_error);
+  }
+  std::stringstream intact(full);
+  const auto reloaded = load_model(intact);
+  EXPECT_EQ(serve::hash_table(reloaded->sample(150, 5)),
+            serve::hash_table(model->sample(150, 5)));
 }
 
 TEST(ModelArchive, PipelinePersistsFittedModel) {
