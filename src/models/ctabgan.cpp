@@ -379,18 +379,35 @@ void CtabganPlus::load(std::istream& is) {
   if (version != 1 && version != 2) {
     throw std::runtime_error("ctabgan: unsupported payload");
   }
-  cfg_.noise_dim = static_cast<std::size_t>(util::io::read_u64(is));
+  cfg_.noise_dim = util::io::read_count(is);  // bounded: the sum below fits
   cfg_.gumbel_tau = util::io::read_f32(is);
   cond_width_ = static_cast<std::size_t>(util::io::read_u64(is));
   encoder_.load(is);
-  gen_ = nn::load_mlp(is);
+  // Sampling draws a block below category_log_freq_.size() and a category
+  // below its vector's length, then writes that block's one-hot slot of a
+  // cond_width_-wide row: each must agree with the encoder's blocks.
+  const std::size_t width = encoder_.encoded_width();
+  const auto& blocks = encoder_.blocks();
+  if (blocks.empty() || cond_width_ != width - encoder_.num_numerical()) {
+    throw std::runtime_error(
+        "ctabgan: archive condition width does not match its encoder");
+  }
+  gen_ = nn::load_mlp(is, cfg_.noise_dim + cond_width_, width);
   category_log_freq_.resize(util::io::read_count(is));
   for (auto& freqs : category_log_freq_) freqs = util::io::read_vec_f64(is);
+  bool freqs_match = category_log_freq_.size() == blocks.size();
+  for (std::size_t b = 0; freqs_match && b < blocks.size(); ++b) {
+    freqs_match = category_log_freq_[b].size() == blocks[b].cardinality;
+  }
+  if (!freqs_match) {
+    throw std::runtime_error(
+        "ctabgan: archive category frequencies do not match its encoder");
+  }
   if (version >= 2 && util::io::read_u32(is) != 0) {
     cfg_.budget.learning_rate = util::io::read_f32(is);
     cfg_.budget.epochs = static_cast<std::size_t>(util::io::read_u64(is));
     cfg_.budget.batch_size = static_cast<std::size_t>(util::io::read_u64(is));
-    disc_ = nn::load_mlp(is);
+    disc_ = nn::load_mlp(is, width + cond_width_, 1);
     g_opt_ = std::make_unique<nn::Adam>(cfg_.budget.learning_rate, 0.5f,
                                         0.9f);
     g_opt_->add_params(gen_.params());

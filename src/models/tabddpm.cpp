@@ -440,31 +440,17 @@ void TabDdpm::load(std::istream& is) {
     throw std::runtime_error("tabddpm: unsupported payload");
   }
   const std::uint64_t timesteps = util::io::read_u64(is);
-  const std::uint64_t time_embed_dim = util::io::read_u64(is);
+  // Bounded, so the denoiser's input width below cannot wrap.
+  const std::size_t time_embed_dim = util::io::read_count(is);
   if (timesteps < 2 || timesteps > util::io::kMaxSerializedElements) {
     throw std::runtime_error("tabddpm: implausible timestep count in archive");
   }
   encoder_.load(is);
-  net_ = nn::load_mlp(is);
-  // The denoiser maps [x_t | time embedding] to [eps | x0 logits]; an
-  // archive whose shape fields disagree with its layers would read past
-  // the first weight matrix at sampling time.
+  // The denoiser maps [x_t | time embedding] to [eps | x0 logits].
   const std::size_t width = encoder_.encoded_width();
-  const nn::Linear* first = nullptr;
-  const nn::Linear* last = nullptr;
-  for (std::size_t i = 0; i < net_.num_layers(); ++i) {
-    if (const auto* lin = dynamic_cast<const nn::Linear*>(&net_.layer(i))) {
-      if (i == 0) first = lin;
-      last = lin;
-    }
-  }
-  if (first == nullptr || first->in_dim() < width ||
-      first->in_dim() - width != time_embed_dim || last->out_dim() != width) {
-    throw std::runtime_error(
-        "tabddpm: archive shape fields do not match its denoiser");
-  }
+  net_ = nn::load_mlp(is, width + time_embed_dim, width);
   cfg_.timesteps = static_cast<std::size_t>(timesteps);
-  cfg_.time_embed_dim = static_cast<std::size_t>(time_embed_dim);
+  cfg_.time_embed_dim = time_embed_dim;
   if (version >= 2 && util::io::read_u32(is) != 0) {
     cfg_.budget.learning_rate = util::io::read_f32(is);
     cfg_.budget.epochs = static_cast<std::size_t>(util::io::read_u64(is));

@@ -201,14 +201,15 @@ void Tvae::load(std::istream& is) {
   if (version != 1 && version != 2) {
     throw std::runtime_error("tvae: unsupported payload");
   }
-  cfg_.latent_dim = static_cast<std::size_t>(util::io::read_u64(is));
+  cfg_.latent_dim = util::io::read_count(is);  // bounded: 2·latent fits
   encoder_map_.load(is);
-  decoder_ = nn::load_mlp(is);
+  const std::size_t width = encoder_map_.encoded_width();
+  decoder_ = nn::load_mlp(is, cfg_.latent_dim, width);
   if (version >= 2 && util::io::read_u32(is) != 0) {
     cfg_.budget.learning_rate = util::io::read_f32(is);
     cfg_.budget.epochs = static_cast<std::size_t>(util::io::read_u64(is));
     cfg_.budget.batch_size = static_cast<std::size_t>(util::io::read_u64(is));
-    encoder_ = nn::load_mlp(is);
+    encoder_ = nn::load_mlp(is, width, 2 * cfg_.latent_dim);
     opt_ = std::make_unique<nn::Adam>(cfg_.budget.learning_rate);
     opt_->add_params(encoder_.params());  // fit-time registration order
     opt_->add_params(decoder_.params());

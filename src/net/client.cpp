@@ -23,12 +23,10 @@ namespace surro::net {
 
 namespace {
 
-std::string to_lower(std::string s) {
-  for (char& c : s) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return s;
-}
+/// Responses get the header cap a request gets, and a body cap 50 times
+/// the largest reply the server sends (a 10,000-row result page, about
+/// 1.2 MB of JSON).
+constexpr HttpLimits kResponseLimits{.max_body_bytes = std::size_t{64} << 20};
 
 }  // namespace
 
@@ -62,20 +60,6 @@ void HttpClient::disconnect() {
     ::close(fd_);
     fd_ = -1;
   }
-  fd_timeout_ = -1.0;
-  rx_.clear();
-}
-
-void HttpClient::apply_timeout(double seconds) {
-  if (fd_ < 0 || seconds == fd_timeout_) return;
-  timeval tv{};
-  if (seconds > 0.0) {
-    tv.tv_sec = static_cast<time_t>(seconds);
-    tv.tv_usec = static_cast<suseconds_t>(std::fmod(seconds, 1.0) * 1e6);
-  }
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  fd_timeout_ = seconds;
 }
 
 void HttpClient::connect() {
@@ -97,7 +81,15 @@ void HttpClient::connect() {
       last_why = std::string("socket() failed: ") + std::strerror(errno);
       continue;
     }
-    apply_timeout(cfg_.timeout_seconds);
+    // Requests are small, so a send() blocks only on a peer that stopped
+    // reading; bound each one by the client-wide budget.
+    timeval tv{};
+    if (cfg_.timeout_seconds > 0.0) {
+      tv.tv_sec = static_cast<time_t>(cfg_.timeout_seconds);
+      tv.tv_usec = static_cast<suseconds_t>(
+          std::fmod(cfg_.timeout_seconds, 1.0) * 1e6);
+    }
+    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     const int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
@@ -124,133 +116,6 @@ void HttpClient::connect() {
                            " attempt(s): " + last_why);
 }
 
-bool HttpClient::send_request(const std::string& wire) {
-  std::size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t n =
-        ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        throw TransportError(TransportError::Kind::kTimeout,
-                             "HttpClient: send timed out");
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool HttpClient::read_response(HttpResponse& out) {
-  // Accumulate until the header terminator, then until Content-Length
-  // bytes of body. A clean EOF before the first byte means the server
-  // closed a keep-alive connection between requests — retryable.
-  std::string buf = std::move(rx_);
-  rx_.clear();
-  char chunk[8192];
-  std::size_t header_end = std::string::npos;
-  auto find_end = [&] {
-    header_end = buf.find("\r\n\r\n");
-    return header_end != std::string::npos;
-  };
-  while (!find_end()) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      if (buf.empty()) return false;
-      throw TransportError(TransportError::Kind::kClosed,
-                           "HttpClient: connection closed mid-response");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        throw TransportError(TransportError::Kind::kTimeout,
-                             "HttpClient: response timed out");
-      }
-      throw TransportError(TransportError::Kind::kClosed,
-                           "HttpClient: recv failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
-
-  // Status line: HTTP/1.x SP code SP reason.
-  const std::size_t line_end = buf.find("\r\n");
-  const std::string status_line = buf.substr(0, line_end);
-  if (status_line.size() < 12 || status_line.compare(0, 5, "HTTP/") != 0) {
-    throw TransportError(TransportError::Kind::kMalformed,
-                         "HttpClient: malformed status line '" + status_line +
-                             "'");
-  }
-  const std::size_t sp = status_line.find(' ');
-  int status = 0;
-  {
-    const char* begin = status_line.data() + sp + 1;
-    const auto res = std::from_chars(begin, begin + 3, status);
-    if (res.ec != std::errc{}) {
-      throw TransportError(TransportError::Kind::kMalformed,
-                           "HttpClient: malformed status code");
-    }
-  }
-  out = HttpResponse{};
-  out.status = status;
-
-  // Header fields.
-  std::size_t pos = line_end + 2;
-  while (pos < header_end) {
-    const std::size_t eol = buf.find("\r\n", pos);
-    const std::string line = buf.substr(pos, eol - pos);
-    pos = eol + 2;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    std::string name = to_lower(line.substr(0, colon));
-    std::size_t vstart = colon + 1;
-    while (vstart < line.size() && (line[vstart] == ' ' || line[vstart] == '\t')) {
-      ++vstart;
-    }
-    out.headers[name] = line.substr(vstart);
-  }
-
-  std::size_t body_len = 0;
-  if (const auto it = out.headers.find("content-length");
-      it != out.headers.end()) {
-    const auto res = std::from_chars(
-        it->second.data(), it->second.data() + it->second.size(), body_len);
-    if (res.ec != std::errc{}) {
-      throw TransportError(TransportError::Kind::kMalformed,
-                           "HttpClient: malformed content-length");
-    }
-  }
-
-  const std::size_t body_start = header_end + 4;
-  while (buf.size() < body_start + body_len) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      throw TransportError(TransportError::Kind::kClosed,
-                           "HttpClient: connection closed mid-body");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        throw TransportError(TransportError::Kind::kTimeout,
-                             "HttpClient: response body timed out");
-      }
-      throw TransportError(TransportError::Kind::kClosed,
-                           "HttpClient: recv failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
-  out.body = buf.substr(body_start, body_len);
-  rx_ = buf.substr(body_start + body_len);
-
-  if (to_lower(out.headers.count("connection") ? out.headers["connection"]
-                                               : "") == "close") {
-    disconnect();
-  }
-  return true;
-}
-
 HttpResponse HttpClient::request(
     const std::string& method, const std::string& target,
     const std::string& body, const std::map<std::string, std::string>& headers,
@@ -270,20 +135,47 @@ HttpResponse HttpClient::request(
       timeout_seconds > 0.0 ? timeout_seconds : cfg_.timeout_seconds;
   for (int attempt = 0; attempt < 2; ++attempt) {
     if (fd_ < 0) connect();
-    apply_timeout(budget);
-    HttpResponse response;
-    try {
-      if (send_request(wire) && read_response(response)) return response;
-    } catch (...) {
-      // A timeout / truncated response leaves the stream desynchronized: a
-      // late reply would be read as the answer to the NEXT request on this
-      // keep-alive connection. Never hand that fd to a future call.
+    const auto sent_at = std::chrono::steady_clock::now();
+    RequestParser parser(kResponseLimits, RequestParser::Direction::kResponse);
+    const bool sent = send_all(fd_, wire);
+    if (!sent && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       disconnect();
-      throw;
+      throw TransportError(TransportError::Kind::kTimeout,
+                           "HttpClient: send timed out");
     }
-    // Dead keep-alive connection: reconnect once and retry. Safe for this
-    // API because the failure happened before any response byte arrived.
-    disconnect();
+    const ReadEnd end =
+        sent ? read_message(fd_, parser, budget, sent_at) : ReadEnd::kEof;
+    if (end == ReadEnd::kEof) {
+      // Dead keep-alive connection: reconnect once and retry. Safe for
+      // this API because it failed before any response byte arrived.
+      disconnect();
+      continue;
+    }
+    // A timeout, truncated or unparseable response leaves the stream out
+    // of step: a late reply would be read as the answer to the NEXT
+    // request on this keep-alive connection. Never hand that fd to a
+    // future call.
+    if (end != ReadEnd::kMessage ||
+        parser.state() == RequestParser::State::kError) {
+      disconnect();
+      using Kind = TransportError::Kind;
+      if (end == ReadEnd::kTimeout) {
+        throw TransportError(Kind::kTimeout, "HttpClient: response timed out");
+      }
+      if (end == ReadEnd::kClosed) {
+        throw TransportError(Kind::kClosed,
+                             "HttpClient: connection closed mid-response");
+      }
+      throw TransportError(Kind::kMalformed, "HttpClient: malformed "
+                                             "response: " +
+                                                 parser.error_reason());
+    }
+    HttpResponse response = std::move(parser.response());
+    // One request, one reply: bytes past it would answer the next request.
+    const bool keep_alive = parser.keep_alive();
+    parser.reset();
+    if (!keep_alive || !parser.idle()) disconnect();
+    return response;
   }
   throw TransportError(TransportError::Kind::kClosed,
                        "HttpClient: server closed the connection twice");

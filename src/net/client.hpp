@@ -7,8 +7,9 @@
 //
 // Two layers:
 //   * HttpClient — one keep-alive connection: serialize a request, read
-//     one Content-Length-framed response. Reconnects transparently when
-//     the server closed the connection (keep-alive budget, idle timeout).
+//     one response through the parser the server reads requests with
+//     (same caps and checks). Reconnects transparently when the server
+//     closed the connection (keep-alive budget, idle timeout).
 //   * ApiClient — the REST protocol: submit jobs, long-poll + paginate
 //     results back into a tabular::Table (the bytes the determinism
 //     digest hashes), cancel, stats. Non-2xx answers throw ApiError
@@ -16,7 +17,8 @@
 //
 // Failures below the protocol (connect refused, request timeout, peer
 // hangup mid-response, unparseable bytes) throw the typed TransportError —
-// the signal serve::RemoteShard and the ShardPool replica re-route key on.
+// the signal serve::RemoteShard and the ShardPool replica re-route key on
+// — and drop the connection, so a failed reply never answers the next one.
 
 #include <cstdint>
 #include <map>
@@ -39,7 +41,7 @@ class TransportError : public std::runtime_error {
  public:
   enum class Kind {
     kConnect,    ///< TCP connect failed (refused, unreachable, bad address)
-    kTimeout,    ///< the per-request socket budget expired (send or recv)
+    kTimeout,    ///< the request budget expired before the last byte
     kClosed,     ///< the peer closed the connection mid-response
     kMalformed,  ///< response framing or body did not parse
   };
@@ -59,7 +61,8 @@ class TransportError : public std::runtime_error {
 
 /// Connection behavior shared by HttpClient and ApiClient.
 struct ClientConfig {
-  /// Socket send/recv budget per request; 0 = unbounded (tests only).
+  /// Budget per request, from sending it to the last byte of the
+  /// response; 0 = unbounded (tests only).
   double timeout_seconds = 30.0;
   /// TCP connect attempts per request, with exponential backoff between
   /// them. 1 = fail fast on the first refusal; worker fleets use 2-3 so a
@@ -97,20 +100,11 @@ class HttpClient {
 
  private:
   void connect();
-  void apply_timeout(double seconds);
-  /// Send the serialized request; false when the peer hung up (caller
-  /// reconnects and retries once). Throws TransportError on send timeout.
-  bool send_request(const std::string& wire);
-  /// Read one response; false on a clean EOF before any byte (dead
-  /// keep-alive connection).
-  bool read_response(HttpResponse& out);
 
   std::string host_;
   std::uint16_t port_;
   ClientConfig cfg_;
   int fd_ = -1;
-  double fd_timeout_ = -1.0;  // budget currently applied to fd_
-  std::string rx_;  // bytes past the previous response (rare, kept anyway)
 };
 
 /// A non-2xx REST answer, decoded: HTTP status, the structured error code

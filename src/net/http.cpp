@@ -1,7 +1,11 @@
 #include "net/http.hpp"
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <utility>
 
@@ -110,26 +114,32 @@ void RequestParser::fail(int status, std::string reason) {
   error_reason_ = std::move(reason);
 }
 
-bool RequestParser::parse_headers(std::size_t header_end) {
-  const std::string_view head(buffer_.data(), header_end);
+bool RequestParser::parse_version(std::string_view version,
+                                  int& version_minor) {
+  if (version == "HTTP/1.1") {
+    version_minor = 1;
+  } else if (version == "HTTP/1.0") {
+    version_minor = 0;
+  } else {
+    fail(505, "unsupported HTTP version '" + std::string(version) + "'");
+    return false;
+  }
+  return true;
+}
 
-  // ---- request line: METHOD SP target SP HTTP/1.x
-  std::size_t line_end = head.find('\n');
-  const std::string_view request_line =
-      chomp_cr(head.substr(0, line_end == std::string_view::npos
-                                  ? head.size()
-                                  : line_end));
-  const std::size_t sp1 = request_line.find(' ');
+bool RequestParser::parse_request_line(std::string_view line,
+                                       int& version_minor) {
+  // METHOD SP target SP HTTP/1.x
+  const std::size_t sp1 = line.find(' ');
   const std::size_t sp2 =
-      sp1 == std::string_view::npos ? sp1 : request_line.find(' ', sp1 + 1);
+      sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
   if (sp1 == std::string_view::npos || sp2 == std::string_view::npos ||
-      sp2 + 1 >= request_line.size()) {
+      sp2 + 1 >= line.size()) {
     fail(400, "malformed request line");
     return false;
   }
-  const std::string_view method = request_line.substr(0, sp1);
-  const std::string_view target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-  const std::string_view version = request_line.substr(sp2 + 1);
+  const std::string_view method = line.substr(0, sp1);
+  const std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
   if (method.empty() ||
       !std::all_of(method.begin(), method.end(), is_token_char)) {
     fail(400, "malformed method token");
@@ -139,14 +149,8 @@ bool RequestParser::parse_headers(std::size_t header_end) {
     fail(400, "request target must be origin-form");
     return false;
   }
-  if (version == "HTTP/1.1") {
-    request_.version_minor = 1;
-  } else if (version == "HTTP/1.0") {
-    request_.version_minor = 0;
-  } else {
-    fail(505, "unsupported HTTP version '" + std::string(version) + "'");
-    return false;
-  }
+  if (!parse_version(line.substr(sp2 + 1), version_minor)) return false;
+  request_.version_minor = version_minor;
   request_.method = std::string(method);
   request_.target = std::string(target);
   const std::size_t qmark = target.find('?');
@@ -168,6 +172,42 @@ bool RequestParser::parse_headers(std::size_t header_end) {
       pos = amp + 1;
     }
   }
+  return true;
+}
+
+bool RequestParser::parse_status_line(std::string_view line,
+                                      int& version_minor) {
+  // HTTP/1.x SP 3DIGIT [SP reason-phrase]
+  const std::size_t sp = line.find(' ');
+  const std::string_view code =
+      sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1, 3);
+  if (code.size() != 3 || code[0] < '1' || code[0] > '5' ||
+      !std::all_of(code.begin(), code.end(),
+                   [](char c) { return c >= '0' && c <= '9'; }) ||
+      (line.size() > sp + 4 && line[sp + 4] != ' ')) {
+    fail(400, "malformed status line '" + std::string(line) + "'");
+    return false;
+  }
+  if (!parse_version(line.substr(0, sp), version_minor)) return false;
+  response_.status = (code[0] - '0') * 100 + (code[1] - '0') * 10 +
+                     (code[2] - '0');
+  return true;
+}
+
+bool RequestParser::parse_headers(std::size_t header_end) {
+  const std::string_view head(buffer_.data(), header_end);
+
+  // ---- start line: the only part that differs by direction
+  const std::size_t line_end = head.find('\n');
+  const std::string_view start_line = chomp_cr(head.substr(0, line_end));
+  int version_minor = 1;
+  if (!(direction_ == Direction::kRequest
+            ? parse_request_line(start_line, version_minor)
+            : parse_status_line(start_line, version_minor))) {
+    return false;
+  }
+  auto& headers = direction_ == Direction::kRequest ? request_.headers
+                                                    : response_.headers;
 
   // ---- header fields
   std::size_t pos = line_end == std::string_view::npos ? head.size()
@@ -199,11 +239,11 @@ bool RequestParser::parse_headers(std::size_t header_end) {
     while (!value.empty() && (value.back() == ' ' || value.back() == '\t')) {
       value.remove_suffix(1);
     }
-    request_.headers[to_lower(name)] = std::string(value);
+    headers[to_lower(name)] = std::string(value);
   }
 
   // ---- framing
-  if (request_.headers.contains("transfer-encoding")) {
+  if (headers.contains("transfer-encoding")) {
     // Content-Length is the only framing this server speaks; answering 501
     // (rather than misreading the body as the next request) keeps the
     // failure honest.
@@ -211,8 +251,7 @@ bool RequestParser::parse_headers(std::size_t header_end) {
     return false;
   }
   body_expected_ = 0;
-  if (const auto it = request_.headers.find("content-length");
-      it != request_.headers.end()) {
+  if (const auto it = headers.find("content-length"); it != headers.end()) {
     const std::string& raw = it->second;
     std::uint64_t length = 0;
     const auto res =
@@ -229,10 +268,12 @@ bool RequestParser::parse_headers(std::size_t header_end) {
     body_expected_ = static_cast<std::size_t>(length);
   }
 
-  const std::string connection = to_lower(request_.header("connection"));
-  request_.keep_alive = request_.version_minor >= 1
-                            ? connection != "close"
-                            : connection == "keep-alive";
+  const auto it = headers.find("connection");
+  const std::string connection =
+      it == headers.end() ? std::string() : to_lower(it->second);
+  keep_alive_ = version_minor >= 1 ? connection != "close"
+                                   : connection == "keep-alive";
+  request_.keep_alive = keep_alive_;
   return true;
 }
 
@@ -268,7 +309,8 @@ void RequestParser::advance() {
     phase_ = Phase::kBody;
   }
   if (phase_ == Phase::kBody && buffer_.size() >= body_expected_) {
-    request_.body = buffer_.substr(0, body_expected_);
+    (direction_ == Direction::kRequest ? request_.body : response_.body) =
+        buffer_.substr(0, body_expected_);
     buffer_.erase(0, body_expected_);
     state_ = State::kComplete;
   }
@@ -285,10 +327,61 @@ RequestParser::State RequestParser::feed(std::string_view data) {
 void RequestParser::reset() {
   if (state_ != State::kComplete) return;
   request_ = HttpRequest{};
+  response_ = HttpResponse{};
+  keep_alive_ = true;
   phase_ = Phase::kHeaders;
   state_ = State::kNeedMore;
   body_expected_ = 0;
   advance();  // pipelined bytes may already complete the next request
+}
+
+ReadEnd read_message(int fd, RequestParser& parser, double budget_seconds,
+                     std::optional<std::chrono::steady_clock::time_point>
+                         start) {
+  using Clock = std::chrono::steady_clock;
+  const auto budget = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(budget_seconds));
+  // Pipelined bytes already buffered mean the message has begun.
+  bool begun = !parser.idle();
+  Clock::time_point deadline = start.value_or(Clock::now()) + budget;
+  char buf[16384];
+  while (parser.state() == RequestParser::State::kNeedMore) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      if (!begun && !start) deadline = Clock::now() + budget;
+      begun = true;
+      (void)parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+      continue;
+    }
+    if (n == 0) return begun ? ReadEnd::kClosed : ReadEnd::kEof;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return ReadEnd::kClosed;
+    int wait_ms = -1;  // unbounded
+    if (budget_seconds > 0.0) {
+      const auto left = deadline - Clock::now();
+      if (left <= Clock::duration::zero()) return ReadEnd::kTimeout;
+      // Wait in slices of at most a minute, so the int cannot overflow.
+      wait_ms = static_cast<int>(std::min<std::int64_t>(
+          std::chrono::ceil<std::chrono::milliseconds>(left).count(), 60000));
+    }
+    pollfd ready{fd, POLLIN, 0};
+    (void)::poll(&ready, 1, wait_ms);  // EINTR or a wakeup: loop re-checks
+  }
+  return ReadEnd::kMessage;
+}
+
+bool send_all(int fd, std::string_view data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 std::string serialize_response(const HttpResponse& response,

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -145,48 +144,22 @@ void HttpServer::accept_loop() {
   }
 }
 
-bool HttpServer::send_all(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void HttpServer::serve_connection(int fd) {
-  // recv() deadline so an idle or trickling peer cannot pin this worker.
-  if (cfg_.idle_timeout_seconds > 0.0) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(cfg_.idle_timeout_seconds);
-    tv.tv_usec = static_cast<suseconds_t>(
-        std::fmod(cfg_.idle_timeout_seconds, 1.0) * 1e6);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   RequestParser parser(cfg_.limits);
   std::size_t served = 0;
-  char buf[8192];
   bool timed_out = false;
 
   while (served < cfg_.keep_alive_max_requests) {
-    // Pipelined bytes may have completed the next request already.
-    if (parser.state() == RequestParser::State::kNeedMore) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n == 0) break;  // peer closed
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        timed_out = (errno == EAGAIN || errno == EWOULDBLOCK);
-        break;
-      }
-      parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+    // An idle or trickling peer cannot pin this worker: the wait for a
+    // request's first byte and the request from that byte on each get
+    // idle_timeout_seconds. Pipelined bytes may have completed it already.
+    const ReadEnd end = read_message(fd, parser, cfg_.idle_timeout_seconds);
+    if (end != ReadEnd::kMessage) {
+      timed_out = end == ReadEnd::kTimeout;
+      break;
     }
 
     if (parser.state() == RequestParser::State::kError) {
@@ -199,10 +172,9 @@ void HttpServer::serve_connection(int fd) {
           error_response(parser.error_status(),
                          parse_error_code(parser.error_status()),
                          parser.error_reason());
-      send_all(fd, serialize_response(response, /*keep_alive=*/false));
+      (void)send_all(fd, serialize_response(response, /*keep_alive=*/false));
       break;  // framing is unrecoverable after a parse error
     }
-    if (parser.state() != RequestParser::State::kComplete) continue;
 
     const HttpRequest& request = parser.request();
     const bool keep_alive = request.keep_alive &&

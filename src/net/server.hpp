@@ -40,8 +40,10 @@ struct ServerConfig {
   /// Requests served on one connection before the server closes it
   /// (bounds how long a single client can monopolize a worker).
   std::size_t keep_alive_max_requests = 10000;
-  /// recv() timeout between requests; an idle connection past this is
-  /// closed so silent clients cannot pin workers.
+  /// Budget for the wait for a request's first byte, and again for the
+  /// request from that byte to its last; a connection that idles or
+  /// trickles past it is closed so slow clients cannot pin workers.
+  /// 0 = unbounded.
   double idle_timeout_seconds = 30.0;
 };
 
@@ -51,7 +53,7 @@ struct ServerStats {
   std::uint64_t requests = 0;         ///< requests answered (any status)
   std::uint64_t parse_errors = 0;     ///< 4xx/5xx emitted by the parser
   std::uint64_t handler_errors = 0;   ///< handler threw (answered 500)
-  std::uint64_t timeouts = 0;         ///< connections closed for idleness
+  std::uint64_t timeouts = 0;         ///< connections closed by the budget
   std::size_t open_connections = 0;   ///< currently open sockets
 };
 
@@ -85,8 +87,6 @@ class HttpServer {
  private:
   void accept_loop();
   void serve_connection(int fd);
-  /// send() the whole buffer, tolerating partial writes. False on error.
-  static bool send_all(int fd, std::string_view data);
 
   ServerConfig cfg_;
   Handler handler_;

@@ -146,6 +146,8 @@ class LayerNorm final : public Layer {
   [[nodiscard]] std::string name() const override { return "LayerNorm"; }
   void save(std::ostream& os) const override;
 
+  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
+
  private:
   std::size_t dim_;
   float eps_;

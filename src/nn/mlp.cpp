@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "util/serialize.hpp"
 
@@ -107,12 +108,34 @@ void save_mlp(std::ostream& os, const Mlp& mlp) {
   }
 }
 
-Mlp load_mlp(std::istream& is) {
+Mlp load_mlp(std::istream& is, std::size_t in_width, std::size_t out_width) {
   util::io::expect_tag(is, "MLP0");
   const auto n = static_cast<std::size_t>(util::io::read_u64(is));
+  // Linear::infer checks shapes only in debug builds, so a stack whose
+  // widths do not chain would read past a weight matrix when it runs.
+  const auto mismatch = [](std::size_t layer, std::size_t takes,
+                           std::size_t width) {
+    return std::runtime_error(
+        "nn: layer " + std::to_string(layer) + " takes width " +
+        std::to_string(takes) + " but receives " + std::to_string(width));
+  };
   Mlp mlp;
+  std::size_t width = in_width;
   for (std::size_t i = 0; i < n; ++i) {
-    mlp.push(load_layer(is));
+    auto layer = load_layer(is);
+    if (const auto* lin = dynamic_cast<const Linear*>(layer.get())) {
+      if (lin->in_dim() != width) throw mismatch(i, lin->in_dim(), width);
+      width = lin->out_dim();
+    } else if (const auto* norm =
+                   dynamic_cast<const LayerNorm*>(layer.get())) {
+      if (norm->dim() != width) throw mismatch(i, norm->dim(), width);
+    }
+    mlp.push(std::move(layer));
+  }
+  if (n == 0 || width != out_width) {
+    throw std::runtime_error("nn: layer stack ends at width " +
+                             std::to_string(width) + ", expected " +
+                             std::to_string(out_width));
   }
   return mlp;
 }

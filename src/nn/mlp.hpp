@@ -72,6 +72,11 @@ class Mlp {
 
 /// Binary persistence of the full layer stack (architecture + parameters).
 void save_mlp(std::ostream& os, const Mlp& mlp);
-[[nodiscard]] Mlp load_mlp(std::istream& is);
+/// Load a stack written by save_mlp. Throws std::runtime_error unless its
+/// widths chain from `in_width` to `out_width`: the first Linear takes
+/// `in_width`, every Linear and LayerNorm takes what the layers before it
+/// produce, and the last Linear produces `out_width`.
+[[nodiscard]] Mlp load_mlp(std::istream& is, std::size_t in_width,
+                           std::size_t out_width);
 
 }  // namespace surro::nn

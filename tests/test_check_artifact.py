@@ -107,7 +107,9 @@ def http_stats():
                         "GET /v1/jobs/{id}", "DELETE /v1/jobs/{id}")]
     return keys("serve_http_stats", "", kind="serve_http_stats",
                 simd_backend="avx2", quota={"keys": 2, "open_access": False},
-                http={"routes": routes}, server={"requests": 15})
+                http={"routes": routes},
+                server={"requests": 15, "parse_errors": 0,
+                        "handler_errors": 0})
 
 
 def twin():
@@ -179,7 +181,9 @@ CASES = {
     "http-stats": ([http_stats()], {
         "a route never hit": (0, "http", "routes", 4, "requests", 0),
         "2 errors on GET /v1/models": (0, "http", "routes", 1, "errors", 2),
-        "14 requests": (0, "server", "requests", 14)}),
+        "14 requests": (0, "server", "requests", 14),
+        "a parse error": (0, "server", "parse_errors", 1),
+        "a handler error": (0, "server", "handler_errors", 1)}),
     "transport": ([soak(), soak(transport="socket")], {
         "expected_hash differs": (1, "expected_hash", "0" * 16)}),
     "remote": ([soak(1, 2, remotes=3), soak()], {

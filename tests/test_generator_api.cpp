@@ -383,6 +383,70 @@ TEST(ModelArchive, TabDdpmShapeFieldsAreChecked) {
             serve::hash_table(model->sample(150, 5)));
 }
 
+// A copy of `archive` whose first network repeats its first layer after its
+// second: the stack still takes the model's input width and produces its
+// output width, but the repeated Linear no longer takes what the layer
+// before it produces.
+std::string with_repeated_first_layer(const std::string& archive) {
+  const std::size_t mlp = archive.find("MLP0");
+  const std::size_t first = archive.find("LAYR", mlp);
+  const std::size_t second = archive.find("LAYR", first + 4);
+  const std::size_t third = archive.find("LAYR", second + 4);
+  EXPECT_NE(third, std::string::npos);
+  std::string out = archive;
+  out.insert(third, archive.substr(first, second - first));
+  ++out[mlp + 4];  // low byte of the little-endian u64 layer count
+  return out;
+}
+
+// A copy of `archive` with the u64 `offset` bytes into the payload tagged
+// `tag` set to `value`.
+std::string with_field(const std::string& archive, const char* tag,
+                       std::size_t offset, std::uint64_t value) {
+  std::string out = archive;
+  const std::size_t at = out.find(tag) + offset;
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[at + i] = static_cast<char>(value >> (8 * i));
+  }
+  return out;
+}
+
+// Every neural model hands its encoder's widths to nn::load_mlp, and
+// CTAB-GAN+ checks its condition width against its encoder: a doctored
+// archive throws at load instead of reading past a buffer when it samples.
+TEST(ModelArchive, NeuralModelShapesAreCheckedAgainstTheEncoder) {
+  const auto train = cluster_table(200, 33);
+  for (const std::string key : {"tvae", "ctabgan", "tabddpm"}) {
+    auto model = make_generator(key, tiny_budget(), 7);
+    model->fit(train);
+    std::stringstream archive;
+    save_model(*model, archive);
+    const std::string full = archive.str();
+    std::vector<std::string> doctored = {with_repeated_first_layer(full)};
+    if (key == "tvae") {
+      // latent_dim follows the "TVAE" tag and the u32 version.
+      doctored.push_back(with_field(full, "TVAE", 8, 3));
+    } else if (key == "ctabgan") {
+      // cond_width follows the tag, version, noise_dim and gumbel_tau.
+      const std::size_t at = full.find("CTGN") + 20;
+      std::uint64_t cond_width = 0;
+      for (std::size_t i = 0; i < 8; ++i) {
+        cond_width |= std::uint64_t{static_cast<unsigned char>(full[at + i])}
+                      << (8 * i);
+      }
+      doctored.push_back(with_field(full, "CTGN", 20, cond_width + 1));
+    }
+    for (const std::string& bad : doctored) {
+      std::stringstream is(bad);
+      EXPECT_THROW((void)load_model(is), std::runtime_error) << key;
+    }
+    std::stringstream intact(full);
+    EXPECT_EQ(serve::hash_table(load_model(intact)->sample(150, 5)),
+              serve::hash_table(model->sample(150, 5)))
+        << key;
+  }
+}
+
 TEST(ModelArchive, PipelinePersistsFittedModel) {
   core::PipelineConfig cfg;
   cfg.experiment = eval::quick_experiment_config();

@@ -4,10 +4,13 @@
 // and per-backend thread-count bitwise determinism end to end.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -153,13 +156,49 @@ void gemm_block_fma_chain(const float* a, const float* b, float* c,
   }
 }
 
+// A copy of `values` whose last element ends exactly where a PROT_NONE
+// page begins, so reading or writing one float past the end faults. GCC's
+// ASan does not instrument AVX2 masked loads and stores; a masked-off lane
+// never faults, so this catches only a lane the tail mask should have
+// cleared.
+class GuardedFloats {
+ public:
+  explicit GuardedFloats(const std::vector<float>& values) {
+    const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = values.size() * sizeof(float);
+    const std::size_t data_pages = (bytes + page - 1) / page;
+    map_bytes_ = (data_pages + 1) * page;
+    void* map = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<char*>(map);
+    if (::mprotect(base_ + data_pages * page, page, PROT_NONE) != 0) {
+      throw std::runtime_error("mprotect failed");
+    }
+    data_ = reinterpret_cast<float*>(base_ + data_pages * page - bytes);
+    std::copy(values.begin(), values.end(), data_);
+  }
+  ~GuardedFloats() { ::munmap(base_, map_bytes_); }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+
+  [[nodiscard]] float* data() const noexcept { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t map_bytes_ = 0;
+  float* data_ = nullptr;
+};
+
 // gemm_block is in the dot family: vector backends fuse multiply-add, so
 // agreement with scalar is close-with-tolerance, not bitwise. The AVX2
 // kernel's bytes are pinned to gemm_block_fma_chain. Every backend must be
 // chunk invariant: splitting the row panel at any row boundary — how
 // parallel callers hand out row ranges, and so which row tile a row lands
 // in — must reproduce the unsplit bytes exactly. Buffers are sized exactly,
-// so ASan sees any access past the end of A, B or C.
+// so ASan sees any access past the end of A, B or C; when n is not a
+// multiple of 8, B and C also end against a guard page for the masked
+// column tail.
 TEST(SimdKernels, GemmBlockCloseToScalarAndChunkInvariant) {
   const Kernels& ref = kernels_for(Backend::kScalar);
   util::Rng rng(23);
@@ -196,8 +235,16 @@ TEST(SimdKernels, GemmBlockCloseToScalarAndChunkInvariant) {
             auto c1 = cinit;
             ref.gemm_block_f32(a.data(), k, b.data(), n, c0.data(), n, m, k,
                                n);
-            kern.gemm_block_f32(a.data(), k, b.data(), n, c1.data(), n, m,
-                                k, n);
+            if (n % 8 != 0) {
+              const GuardedFloats gb(b);
+              const GuardedFloats gc(c1);
+              kern.gemm_block_f32(a.data(), k, gb.data(), n, gc.data(), n, m,
+                                  k, n);
+              std::copy_n(gc.data(), m * n, c1.begin());
+            } else {
+              kern.gemm_block_f32(a.data(), k, b.data(), n, c1.data(), n, m,
+                                  k, n);
+            }
             const auto where = [&] {
               return ::testing::Message()
                      << "m=" << m << " n=" << n << " k=" << k

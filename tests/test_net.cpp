@@ -8,10 +8,15 @@
 // the soak harness's socket mode, which must land on the same digests.
 
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -277,11 +282,11 @@ TEST(RequestParser, MalformedContentLengthIs400) {
 TEST(RequestParser, RandomizedSplitReadFuzz) {
   // The parser contract: the final parse of a byte stream depends only on
   // the BYTES, never on how the transport chunked them. For every corpus
-  // request — valid, error-terminal, and edge-shaped — the whole-feed
-  // outcome is the reference, and then (a) every two-part split at all
-  // 1..len-1 boundaries and (b) a seeded storm of random multi-chunk
-  // splits must land on the identical terminal state, request fields, and
-  // error status.
+  // request and response — valid, error-terminal, and edge-shaped — the
+  // whole-feed outcome is the reference, and then (a) every two-part split
+  // at all 1..len-1 boundaries and (b) a seeded storm of random
+  // multi-chunk splits must land on the identical terminal state, message
+  // fields, and error status.
   const std::vector<std::string> corpus = {
       // Plain GET, query decoding, keep-alive default.
       "GET /v1/models?cursor=3&k=a%20b HTTP/1.1\r\nhost: t\r\n\r\n",
@@ -303,15 +308,35 @@ TEST(RequestParser, RandomizedSplitReadFuzz) {
       "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
       "POST / HTTP/1.1\r\ncontent-length: ten\r\n\r\n",
   };
+  // The client's side of the wire: the same parser reading status lines.
+  const std::vector<std::string> responses = {
+      "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n"
+      "content-length: 13\r\nconnection: keep-alive\r\n\r\n"
+      "{\"which\":\"A\"}",
+      "HTTP/1.1 429 Too Many Requests\r\nRetry-After:  2 \r\n"
+      "content-length: 2\r\nconnection: close\r\n\r\n{}",
+      "HTTP/1.0 204\r\ncontent-length: 0\r\n\r\n",
+      "HTTP/1.1 503 \r\ncontent-length: 0\r\n\r\n",
+      // Error-terminal shapes.
+      "HTTP/1.1 2x0 OK\r\n\r\n",
+      "HTTP/2 200 OK\r\n\r\n",
+      "HTTP/1.1 200 OK\r\ncontent-length: 2xyz\r\n\r\n{}",
+      "HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n",
+      "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nx-a: 1\r\n folded\r\n\r\n",
+  };
 
+  using Direction = RequestParser::Direction;
   struct Outcome {
     RequestParser::State state = RequestParser::State::kNeedMore;
     int error_status = 0;
+    bool keep_alive = false;
     HttpRequest request;
+    HttpResponse response;
   };
-  const auto run = [](const std::string& wire,
+  const auto run = [](Direction direction, const std::string& wire,
                       const std::vector<std::size_t>& cuts) {
-    RequestParser parser;
+    RequestParser parser(HttpLimits{}, direction);
     std::size_t begin = 0;
     for (const std::size_t cut : cuts) {
       (void)parser.feed(std::string_view(wire).substr(begin, cut - begin));
@@ -323,7 +348,9 @@ TEST(RequestParser, RandomizedSplitReadFuzz) {
     if (out.state == RequestParser::State::kError) {
       out.error_status = parser.error_status();
     } else if (out.state == RequestParser::State::kComplete) {
+      out.keep_alive = parser.keep_alive();
       out.request = parser.request();
+      out.response = parser.response();
     }
     return out;
   };
@@ -337,17 +364,26 @@ TEST(RequestParser, RandomizedSplitReadFuzz) {
     ASSERT_TRUE(got.request.headers == want.request.headers);
     ASSERT_TRUE(got.request.query == want.request.query);
     ASSERT_EQ(got.request.keep_alive, want.request.keep_alive);
+    ASSERT_EQ(got.keep_alive, want.keep_alive);
+    ASSERT_EQ(got.response.status, want.response.status);
+    ASSERT_TRUE(got.response.headers == want.response.headers);
+    ASSERT_EQ(got.response.body, want.response.body);
   };
 
   util::Rng rng(0xF5A5u);  // seeded: failures reproduce exactly
-  for (const auto& wire : corpus) {
-    const Outcome want = run(wire, {});
+  std::vector<std::pair<Direction, std::string>> cases;
+  for (const auto& wire : corpus) cases.emplace_back(Direction::kRequest, wire);
+  for (const auto& wire : responses) {
+    cases.emplace_back(Direction::kResponse, wire);
+  }
+  for (const auto& [direction, wire] : cases) {
+    const Outcome want = run(direction, wire, {});
     // Exhaustive two-part splits: every boundary, including mid-CRLF and
     // mid-body.
     for (std::size_t cut = 1; cut < wire.size(); ++cut) {
       SCOPED_TRACE("two-part cut at " + std::to_string(cut) + " of " +
                    wire.substr(0, 24));
-      expect_same(run(wire, {cut}), want);
+      expect_same(run(direction, wire, {cut}), want);
     }
     // Random multi-chunk splits (1-6 cuts, anywhere).
     for (int trial = 0; trial < 200; ++trial) {
@@ -361,9 +397,71 @@ TEST(RequestParser, RandomizedSplitReadFuzz) {
       cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
       SCOPED_TRACE("trial " + std::to_string(trial) + " of " +
                    wire.substr(0, 24));
-      expect_same(run(wire, cuts), want);
+      expect_same(run(direction, wire, cuts), want);
     }
   }
+  // The valid responses parse to what their bytes say.
+  const Outcome ok = run(Direction::kResponse, responses[0], {});
+  ASSERT_EQ(ok.state, RequestParser::State::kComplete);
+  EXPECT_EQ(ok.response.status, 200);
+  EXPECT_EQ(ok.response.body, "{\"which\":\"A\"}");
+  EXPECT_TRUE(ok.keep_alive);
+  const Outcome refused = run(Direction::kResponse, responses[1], {});
+  ASSERT_EQ(refused.state, RequestParser::State::kComplete);
+  EXPECT_EQ(refused.response.status, 429);
+  EXPECT_EQ(refused.response.headers.at("retry-after"), "2");
+  EXPECT_FALSE(refused.keep_alive);
+  EXPECT_FALSE(run(Direction::kResponse, responses[2], {}).keep_alive);
+  for (std::size_t i = 4; i < responses.size(); ++i) {
+    EXPECT_EQ(run(Direction::kResponse, responses[i], {}).state,
+              RequestParser::State::kError)
+        << responses[i];
+  }
+}
+
+// ------------------------------------------------------- server budgets --
+
+TEST(ServerTimeouts, TricklingRequestIsClosedWithinTheBudgetOfItsFirstByte) {
+  // One header byte every 0.3 s keeps each recv() inside the 1 s budget;
+  // the request as a whole must still end at ~1 s after its first byte.
+  ServerConfig cfg;
+  cfg.worker_threads = 1;
+  cfg.idle_timeout_seconds = 1.0;
+  HttpServer server(cfg, [](const HttpRequest&) {
+    return HttpResponse::text(200, "ok");
+  });
+  server.start();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = ::htonl(INADDR_LOOPBACK);
+  addr.sin_port = ::htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  const std::string trickle = "GET / HTTP/1.1\r\nx-pad: " +
+                              std::string(64, 'a');
+  const auto first_byte = std::chrono::steady_clock::now();
+  const auto waited = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         first_byte)
+        .count();
+  };
+  bool closed = false;
+  for (std::size_t i = 0; i < trickle.size() && !closed && waited() < 5.0;
+       ++i) {
+    (void)::send(fd, &trickle[i], 1, MSG_NOSIGNAL);
+    pollfd ready{fd, POLLIN, 0};
+    if (::poll(&ready, 1, 300) > 0) {
+      char c = 0;
+      closed = ::recv(fd, &c, 1, 0) <= 0;
+    }
+  }
+  EXPECT_TRUE(closed);
+  EXPECT_LT(waited(), 3.0);
+  EXPECT_EQ(server.stats().timeouts, 1u);
+  ::close(fd);
+  server.stop();
 }
 
 // ---------------------------------------------------------------- quotas --

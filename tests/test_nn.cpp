@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <functional>
+#include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "nn/init.hpp"
@@ -279,6 +281,33 @@ TEST(MlpTest, InferMatchesEvalForwardBitwise) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(inferred.flat()[i], expected.flat()[i]) << "element " << i;
   }
+}
+
+TEST(MlpTest, LoadRejectsStacksWhoseWidthsDoNotChain) {
+  // Release builds compile out Linear::infer's shape assert, so a stack
+  // that does not chain would read past a weight matrix at inference.
+  util::Rng rng(5);
+  const auto reload = [](const Mlp& mlp, std::size_t in, std::size_t out) {
+    std::stringstream stream;
+    save_mlp(stream, mlp);
+    return load_mlp(stream, in, out);
+  };
+  Mlp good;
+  good.linear(6, 12, rng)
+      .layer_norm(12)
+      .activation(Activation::kSiLU)
+      .linear(12, 5, rng);
+  EXPECT_EQ(reload(good, 6, 5).num_layers(), 4u);
+  EXPECT_THROW((void)reload(good, 7, 5), std::runtime_error);  // input
+  EXPECT_THROW((void)reload(good, 6, 4), std::runtime_error);  // output
+
+  Mlp broken;
+  broken.linear(4, 8, rng).linear(5, 3, rng);
+  EXPECT_THROW((void)reload(broken, 4, 3), std::runtime_error);
+  Mlp bad_norm;
+  bad_norm.linear(6, 12, rng).layer_norm(11);
+  EXPECT_THROW((void)reload(bad_norm, 6, 12), std::runtime_error);
+  EXPECT_THROW((void)reload(Mlp{}, 3, 3), std::runtime_error);  // no layers
 }
 
 // ------------------------------------------------------------------ losses --

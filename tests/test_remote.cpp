@@ -211,13 +211,17 @@ RemoteShardConfig quick_remote(std::uint16_t port) {
 }
 
 /// A single-shot fake server: binds an ephemeral port, accepts ONE
-/// connection, optionally reads the request, writes `response` verbatim,
+/// connection, optionally reads the request, writes `response` verbatim
+/// (or one byte per `trickle_seconds`, until the client hangs up),
 /// optionally lingers, then closes. Just enough socket to script the
 /// transport failure modes a real worker can exhibit.
 class OneShotServer {
  public:
-  explicit OneShotServer(std::string response, double linger_seconds = 0.0)
-      : response_(std::move(response)), linger_seconds_(linger_seconds) {
+  explicit OneShotServer(std::string response, double linger_seconds = 0.0,
+                         double trickle_seconds = 0.0)
+      : response_(std::move(response)),
+        linger_seconds_(linger_seconds),
+        trickle_seconds_(trickle_seconds) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -248,7 +252,13 @@ class OneShotServer {
     if (conn < 0) return;
     char sink[4096];
     (void)::recv(conn, sink, sizeof(sink), 0);  // drain the request line
-    if (!response_.empty()) {
+    if (trickle_seconds_ > 0.0) {
+      for (const char c : response_) {
+        if (::send(conn, &c, 1, MSG_NOSIGNAL) != 1) break;
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(trickle_seconds_));
+      }
+    } else if (!response_.empty()) {
       (void)::send(conn, response_.data(), response_.size(), MSG_NOSIGNAL);
     }
     if (linger_seconds_ > 0.0) {
@@ -260,6 +270,7 @@ class OneShotServer {
 
   std::string response_;
   double linger_seconds_ = 0.0;
+  double trickle_seconds_ = 0.0;
   int fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread thread_;
@@ -279,6 +290,19 @@ std::uint16_t closed_port() {
   const std::uint16_t port = ::ntohs(addr.sin_port);
   ::close(fd);
   return port;
+}
+
+/// The TransportError kind one GET against a scripted server ends in, or
+/// "none" when it returns.
+std::string failure_kind(const OneShotServer& server, double budget_seconds) {
+  net::HttpClient http("127.0.0.1", server.port(),
+                       net::ClientConfig{budget_seconds, 1, 0.0, 0.0});
+  try {
+    (void)http.request("GET", "/v1/models");
+  } catch (const net::TransportError& e) {
+    return e.kind_name();
+  }
+  return "none";
 }
 
 // ------------------------------------------------------- error-map table --
@@ -436,6 +460,54 @@ TEST(TransportErrors, TimedOutRequestNeverLeaksItsLateReplyIntoTheNext) {
   ::close(dummy);
   server.join();
   ::close(listen_fd);
+}
+
+// RFC 9112 section 6.3: framing a client cannot trust is an unrecoverable
+// error, never a body guess whose leftover bytes answer the next request.
+TEST(TransportErrors, ContentLengthPastTheBodyCapIsTypedMalformed) {
+  OneShotServer server(
+      "HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n{}");
+  EXPECT_EQ(failure_kind(server, 2.0), "malformed");
+}
+
+TEST(TransportErrors, ContentLengthWithTrailingJunkIsTypedMalformed) {
+  OneShotServer server("HTTP/1.1 200 OK\r\ncontent-length: 2xyz\r\n\r\n{}");
+  EXPECT_EQ(failure_kind(server, 2.0), "malformed");
+}
+
+TEST(TransportErrors, ChunkedTransferEncodingIsTypedMalformed) {
+  OneShotServer server(
+      "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n"
+      "2\r\n{}\r\n0\r\n\r\n");
+  EXPECT_EQ(failure_kind(server, 2.0), "malformed");
+}
+
+TEST(TransportErrors, UnterminatedHeaderBlockStopsAtTheCap) {
+  // 20 KB of one header field and no blank line; the server then holds the
+  // connection open. The client must give up at the 16 KiB header cap,
+  // not read until the peer hangs up.
+  OneShotServer server(
+      "HTTP/1.1 200 OK\r\nx-pad: " + std::string(20000, 'a'),
+      /*linger_seconds=*/2.0);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(failure_kind(server, 10.0), "malformed");
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.5);
+}
+
+TEST(TransportErrors, TricklingServerIsTypedTimeoutWithinTheBudget) {
+  // One byte every 0.3 s keeps each recv() short of the 1 s budget; the
+  // budget covers the whole response, so the request still ends at ~1 s.
+  OneShotServer server("HTTP/1.1 200 OK\r\nx-pad: aaaaaaaa", 0.0,
+                       /*trickle_seconds=*/0.3);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(failure_kind(server, 1.0), "timeout");
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            3.0);
 }
 
 TEST(TransportErrors, KindNamesAreStable) {

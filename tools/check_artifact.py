@@ -267,6 +267,11 @@ def check_http_stats(path):
     # 401s and the 429 land on the route they hit, as errors.
     assert routes["GET /v1/models"]["errors"] >= 3, routes["GET /v1/models"]
     assert doc["server"]["requests"] >= 15, doc["server"]
+    # Every request the smoke sends is well framed and its 4xx answers come
+    # from the REST layer, so any count here is the shared HTTP parser
+    # refusing the CLI client's own bytes, or a handler throwing.
+    assert doc["server"]["parse_errors"] == 0, doc["server"]
+    assert doc["server"]["handler_errors"] == 0, doc["server"]
     return f"{doc['server']['requests']} requests over {len(routes)} routes"
 
 
