@@ -179,8 +179,9 @@ bool RequestParser::parse_status_line(std::string_view line,
                                       int& version_minor) {
   // HTTP/1.x SP 3DIGIT [SP reason-phrase]
   const std::size_t sp = line.find(' ');
-  const std::string_view code =
-      sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1, 3);
+  const std::string_view code = sp == std::string_view::npos
+                                    ? std::string_view{}
+                                    : line.substr(sp + 1, 3);
   if (code.size() != 3 || code[0] < '1' || code[0] > '5' ||
       !std::all_of(code.begin(), code.end(),
                    [](char c) { return c >= '0' && c <= '9'; }) ||
