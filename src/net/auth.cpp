@@ -46,30 +46,22 @@ void QuotaLedger::load_file(const std::string& path) {
   std::size_t lineno = 0;
   while (std::getline(file, line)) {
     ++lineno;
-    const auto trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    const auto fields = util::split(trimmed, ' ');
-    std::string key;
+    const auto fields = util::split_list(line, ' ');
+    if (fields.empty() || fields.front().front() == '#') continue;
     std::optional<double> rps;
-    for (const auto raw : fields) {
-      const auto field = util::trim(raw);
-      if (field.empty()) continue;
-      if (key.empty()) {
-        key = std::string(field);
-      } else if (!rps.has_value()) {
-        double value = 0.0;
-        if (!util::parse_double(field, value) || value < 0.0) {
-          throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                   ": bad per-key rate '" +
-                                   std::string(field) + "'");
-        }
-        rps = value;
-      } else {
+    if (fields.size() > 1) {
+      double value = 0.0;
+      if (!util::parse_double(fields[1], value) || value < 0.0) {
         throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                 ": trailing fields after key and rate");
+                                 ": bad per-key rate '" + fields[1] + "'");
       }
+      rps = value;
     }
-    add_key(key, rps);
+    if (fields.size() > 2) {
+      throw std::runtime_error(path + ":" + std::to_string(lineno) +
+                               ": trailing fields after key and rate");
+    }
+    add_key(fields.front(), rps);
   }
 }
 

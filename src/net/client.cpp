@@ -246,18 +246,20 @@ HttpResponse ApiClient::call(const std::string& method,
 std::uint64_t ApiClient::submit(const std::string& model, std::size_t rows,
                                 std::uint64_t seed, std::size_t chunk_rows,
                                 int priority, double deadline_ms) {
+  serve::SampleJob job;
+  job.model_key = model;
+  job.rows = rows;
+  job.seed = seed;
+  job.chunk_rows = chunk_rows;
+  job.priority = priority;
+  job.deadline_ms = deadline_ms;
+  return submit(job);
+}
+
+std::uint64_t ApiClient::submit(const serve::SampleJob& job) {
   util::JsonWriter w;
   w.begin_object();
-  w.kv("model", model);
-  w.kv("rows", static_cast<std::uint64_t>(rows));
-  // Seeds ride as decimal strings: 64-bit values do not survive a JSON
-  // number (see rest.hpp header comment).
-  w.kv("seed", std::to_string(seed));
-  if (chunk_rows != 0) {
-    w.kv("chunk_rows", static_cast<std::uint64_t>(chunk_rows));
-  }
-  if (priority != 0) w.kv("priority", priority);
-  if (deadline_ms > 0.0) w.kv("deadline_ms", deadline_ms);
+  serve::write_sample_job(w, job);
   w.end_object();
 
   const HttpResponse response = call("POST", "/v1/sample", w.str());
@@ -321,8 +323,27 @@ RemoteResult ApiClient::wait_result(std::uint64_t job_id,
         have_schema = true;
       }
 
+      // A page must move the cursor forward and hold exactly the rows it
+      // spans; a peer that answers otherwise could keep this loop paging
+      // forever or splice rows out of order.
+      constexpr std::int64_t kMaxRows = std::int64_t{1} << 53;
+      const auto total = static_cast<std::uint64_t>(
+          doc.at("rows").as_integer(0, kMaxRows));
+      const auto& next = doc.at("next_cursor");
+      const auto end = next.is_null() ? total
+                                      : static_cast<std::uint64_t>(
+                                            next.as_integer(0, kMaxRows));
+      const auto& data = doc.at("data").array;
+      if (end > total || end < cursor || (!next.is_null() && end == cursor) ||
+          data.size() != end - cursor) {
+        throw std::runtime_error(
+            "page at cursor " + std::to_string(cursor) + " of " +
+            std::to_string(total) + " rows ends at " + std::to_string(end) +
+            " and holds " + std::to_string(data.size()) + " rows");
+      }
+
       const auto& schema = out.table.schema();
-      for (const auto& row : doc.at("data").array) {
+      for (const auto& row : data) {
         if (row.array.size() != schema.num_columns()) {
           throw std::runtime_error("row width mismatch");
         }
@@ -341,9 +362,8 @@ RemoteResult ApiClient::wait_result(std::uint64_t job_id,
       }
       ++out.pages;
 
-      const auto& next = doc.at("next_cursor");
       if (next.is_null()) return Page::kDone;
-      next_cursor = static_cast<std::uint64_t>(next.as_number());
+      next_cursor = end;
       return Page::kMore;
     });
     if (page == Page::kDone) break;

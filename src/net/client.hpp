@@ -27,6 +27,7 @@
 #include <string>
 
 #include "net/http.hpp"
+#include "serve/sample_service.hpp"
 #include "tabular/table.hpp"
 
 namespace surro::net {
@@ -150,16 +151,22 @@ class ApiClient {
   ApiClient(std::string host, std::uint16_t port, std::string api_key,
             ClientConfig cfg);
 
-  /// POST /v1/sample. Returns the job id. Throws ApiError on refusal
-  /// (quota, auth, admission) — "overloaded"/"shed" map from the typed
-  /// ServiceError exactly as the in-process submit would throw them.
+  /// POST /v1/sample with the job's fields in serve::write_sample_job's
+  /// form (its progress hook cannot cross the wire). Returns the job id.
+  /// Throws ApiError on refusal (quota, auth, admission) — "overloaded"/
+  /// "shed" map from the typed ServiceError exactly as the in-process
+  /// submit would throw them.
+  std::uint64_t submit(const serve::SampleJob& job);
+  /// The same for a job given field by field (threads 0).
   std::uint64_t submit(const std::string& model, std::size_t rows,
                        std::uint64_t seed, std::size_t chunk_rows = 0,
                        int priority = 0, double deadline_ms = 0.0);
 
   /// Long-poll GET /v1/jobs/{id} until resolution, then page the rows
   /// back into a Table. Throws ApiError with the job's error code when
-  /// the job failed ("cancelled", "deadline", "shed", "execution").
+  /// the job failed ("cancelled", "deadline", "shed", "execution"), and
+  /// TransportError{kMalformed} on a page that does not advance the cursor
+  /// or does not hold exactly the rows it spans.
   RemoteResult wait_result(std::uint64_t job_id, std::size_t page_rows = 0,
                            double poll_wait_ms = 1000.0);
 

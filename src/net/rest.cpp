@@ -43,27 +43,6 @@ bool parse_u64(std::string_view s, std::uint64_t& out) {
   return res.ec == std::errc{} && res.ptr == s.data() + s.size();
 }
 
-/// A JSON number that is exactly a non-negative integer <= 2^53 (the range
-/// a double carries without rounding).
-bool number_as_size(const util::JsonValue& v, std::uint64_t& out) {
-  if (v.kind != util::JsonValue::Kind::kNumber) return false;
-  const double d = v.number;
-  if (!std::isfinite(d) || d < 0.0 || d != std::floor(d)) return false;
-  if (d > 9007199254740992.0) return false;  // 2^53
-  out = static_cast<std::uint64_t>(d);
-  return true;
-}
-
-/// Seeds are 64-bit and JSON numbers are doubles, so the wire form is a
-/// decimal string ("seed": "12345678901234567890"); small integer numbers
-/// are accepted for hand-written requests.
-bool parse_seed(const util::JsonValue& v, std::uint64_t& out) {
-  if (v.kind == util::JsonValue::Kind::kString) {
-    return parse_u64(v.string, out);
-  }
-  return number_as_size(v, out);
-}
-
 const char* column_kind_name(tabular::ColumnKind kind) noexcept {
   return kind == tabular::ColumnKind::kNumerical ? "numerical" : "categorical";
 }
@@ -203,78 +182,24 @@ HttpResponse RestApi::handle_submit(const HttpRequest& request) {
   } catch (const std::exception& e) {
     return make_error(400, "bad_json", e.what());
   }
-  if (doc.kind != util::JsonValue::Kind::kObject) {
-    return make_error(400, "bad_request", "body must be a JSON object");
-  }
-
   // Strict field validation: a typo'd field name must fail loudly, not
   // silently sample with a default.
-  static const char* kKnown[] = {"model",   "rows",     "seed",
-                                 "chunk_rows", "threads", "priority",
-                                 "deadline_ms"};
   for (const auto& [field, _] : doc.object) {
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return field == k; }) ==
-        std::end(kKnown)) {
+    if (!serve::is_sample_job_field(field)) {
       return make_error(400, "unknown_field",
                         "unknown request field '" + field + "'");
     }
   }
-
   serve::SampleJob job;
-  if (!doc.has("model") ||
-      doc.at("model").kind != util::JsonValue::Kind::kString) {
-    return make_error(400, "bad_request", "'model' (string) is required");
+  try {
+    job = serve::read_sample_job(doc);
+  } catch (const std::exception& e) {
+    return make_error(400, "bad_request", e.what());
   }
-  job.model_key = doc.at("model").as_string();
-
-  std::uint64_t rows = 0;
-  if (!doc.has("rows") || !number_as_size(doc.at("rows"), rows)) {
-    return make_error(400, "bad_request",
-                      "'rows' (non-negative integer) is required");
-  }
-  if (cfg_.max_rows_per_job != 0 && rows > cfg_.max_rows_per_job) {
+  if (cfg_.max_rows_per_job != 0 && job.rows > cfg_.max_rows_per_job) {
     return make_error(400, "rows_out_of_range",
                       "rows exceeds the per-job limit of " +
                           std::to_string(cfg_.max_rows_per_job));
-  }
-  job.rows = static_cast<std::size_t>(rows);
-
-  if (doc.has("seed") && !parse_seed(doc.at("seed"), job.seed)) {
-    return make_error(400, "bad_request",
-                      "'seed' must be a non-negative integer or a decimal "
-                      "string (64-bit seeds do not survive JSON numbers)");
-  }
-  std::uint64_t scratch = 0;
-  if (doc.has("chunk_rows")) {
-    if (!number_as_size(doc.at("chunk_rows"), scratch)) {
-      return make_error(400, "bad_request",
-                        "'chunk_rows' must be a non-negative integer");
-    }
-    job.chunk_rows = static_cast<std::size_t>(scratch);
-  }
-  if (doc.has("threads")) {
-    if (!number_as_size(doc.at("threads"), scratch)) {
-      return make_error(400, "bad_request",
-                        "'threads' must be a non-negative integer");
-    }
-    job.threads = static_cast<std::size_t>(scratch);
-  }
-  if (doc.has("priority")) {
-    const auto& v = doc.at("priority");
-    if (v.kind != util::JsonValue::Kind::kNumber ||
-        v.number != std::floor(v.number)) {
-      return make_error(400, "bad_request", "'priority' must be an integer");
-    }
-    job.priority = static_cast<int>(v.number);
-  }
-  if (doc.has("deadline_ms")) {
-    const auto& v = doc.at("deadline_ms");
-    if (v.kind != util::JsonValue::Kind::kNumber || v.number < 0.0) {
-      return make_error(400, "bad_request",
-                        "'deadline_ms' must be a non-negative number");
-    }
-    job.deadline_ms = v.number;
   }
 
   // Unknown keys get a clean 404 here instead of an execution failure on

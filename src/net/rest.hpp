@@ -10,8 +10,10 @@
 //   GET    /v1/stats         ServiceStats + cache + per-route HTTP counters
 //
 // Request bodies are parsed with the strict util::json_parse under a
-// document-size cap; unknown fields are rejected (a typo'd "chnk_rows"
-// must fail loudly, not sample with the default). Errors are structured
+// document-size cap, and a job's fields by serve::read_sample_job, the one
+// job reader (field table in docs/SERVING.md); unknown fields are
+// rejected (a typo'd "chnk_rows" must fail loudly, not sample with the
+// default). Errors are structured
 // 1:1 from serve::ServiceError codes — {"error":{"code","message"}} with
 // "overloaded"/"shed"/"deadline"/"cancelled" exactly as the in-process
 // typed errors — plus the HTTP-level codes ("unauthorized",

@@ -57,8 +57,7 @@ Submitted RemoteShard::submit_job(SampleJob job) {
   std::uint64_t id = 0;
   try {
     const std::lock_guard lock(control_mutex_);
-    id = control_.submit(job.model_key, job.rows, job.seed, job.chunk_rows,
-                         job.priority, job.deadline_ms);
+    id = control_.submit(job);
   } catch (const net::ApiError& e) {
     // Rebuild the typed in-process error surface from the wire code.
     ServiceError::Code code;

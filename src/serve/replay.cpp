@@ -38,65 +38,33 @@ void fnv_mix(std::uint64_t& h, const std::string& s) {
   h *= kFnvPrime;
 }
 
-/// Range-checked double → unsigned conversion: a negative, non-finite, or
-/// absurd script value must fail parsing, not wrap through the cast (which
-/// is UB for out-of-range doubles).
-std::uint64_t to_count(const std::string& key, const util::JsonValue& value,
-                       std::uint64_t max = std::uint64_t{1} << 40) {
-  const double v = value.as_number();
-  if (!(v >= 0.0) || v > static_cast<double>(max)) {
-    throw std::runtime_error("field '" + key + "' out of range");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-/// Apply one parsed key/value to a request; shared by both script formats.
-void apply_field(ReplayRequest& request, const std::string& key,
-                 const util::JsonValue& value) {
-  if (key == "model") {
-    request.job.model_key = value.as_string();
-  } else if (key == "rows") {
-    request.job.rows = static_cast<std::size_t>(to_count(key, value));
-  } else if (key == "seed") {
-    // Seeds may use the full uint64 range in the API, but a script value
-    // travels through a double, which is exact only up to 2^53.
-    request.job.seed = to_count(key, value, std::uint64_t{1} << 53);
-  } else if (key == "chunk_rows") {
-    request.job.chunk_rows = static_cast<std::size_t>(to_count(key, value));
-  } else if (key == "threads") {
-    request.job.threads = static_cast<std::size_t>(to_count(key, value));
-  } else if (key == "priority") {
-    const double v = value.as_number();
-    if (!(v >= -1e6) || v > 1e6) {
-      throw std::runtime_error("field 'priority' out of range");
+/// One script request from its JSON object (both script forms): the job
+/// fields through serve::read_sample_job, plus replay's own fan-out.
+ReplayRequest read_request(const util::JsonValue& doc) {
+  ReplayRequest request;
+  request.job = read_sample_job(doc);
+  for (const auto& [key, value] : doc.object) {
+    try {
+      if (key == "repeat") {
+        request.repeat = static_cast<std::size_t>(
+            value.as_integer(1, std::int64_t{1} << 20));
+      } else if (key == "seed_stride") {
+        request.seed_stride = static_cast<std::uint64_t>(
+            value.as_integer(0, std::int64_t{1} << 53));
+      } else if (!is_sample_job_field(key)) {
+        throw std::runtime_error("unknown field");
+      }
+    } catch (const std::exception& e) {
+      throw std::runtime_error("'" + key + "': " + e.what());
     }
-    request.job.priority = static_cast<int>(v);
-  } else if (key == "deadline_ms") {
-    const double v = value.as_number();
-    if (!(v >= 0.0) || v > 1e12) {
-      throw std::runtime_error("field 'deadline_ms' out of range");
-    }
-    request.job.deadline_ms = v;
-  } else if (key == "repeat") {
-    request.repeat = static_cast<std::size_t>(
-        to_count(key, value, std::uint64_t{1} << 20));
-  } else if (key == "seed_stride") {
-    request.seed_stride = to_count(key, value, std::uint64_t{1} << 53);
-  } else {
-    throw std::runtime_error("unknown field '" + key + "'");
   }
-}
-
-void validate(const ReplayRequest& request) {
   if (request.job.model_key.empty()) {
     throw std::runtime_error("request needs a model");
   }
   if (request.job.rows == 0) {
     throw std::runtime_error("request needs rows > 0");
   }
-  if (request.repeat == 0) {
-    throw std::runtime_error("repeat must be >= 1");
-  }
+  return request;
 }
 
 }  // namespace
@@ -110,16 +78,7 @@ ReplayScript parse_script_jsonl(std::istream& is) {
     const auto trimmed = util::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
     try {
-      const util::JsonValue doc = util::parse_json(trimmed);
-      if (doc.kind != util::JsonValue::Kind::kObject) {
-        throw std::runtime_error("line is not a JSON object");
-      }
-      ReplayRequest request;
-      for (const auto& [key, value] : doc.object) {
-        apply_field(request, key, value);
-      }
-      validate(request);
-      script.requests.push_back(std::move(request));
+      script.requests.push_back(read_request(util::parse_json(trimmed)));
     } catch (const std::exception& e) {
       throw std::runtime_error("request script line " +
                                std::to_string(line_no) + ": " + e.what());
@@ -130,34 +89,31 @@ ReplayScript parse_script_jsonl(std::istream& is) {
 
 ReplayScript parse_script_inline(const std::string& spec) {
   ReplayScript script;
-  for (const auto raw_request : util::split(spec, ';')) {
-    if (util::trim(raw_request).empty()) continue;
-    ReplayRequest request;
-    for (const auto raw_pair : util::split(raw_request, ',')) {
-      const auto pair = util::trim(raw_pair);
-      if (pair.empty()) continue;
-      const auto eq = pair.find('=');
-      if (eq == std::string_view::npos) {
-        throw std::runtime_error("bad request field '" + std::string(pair) +
+  for (const auto& text : util::split_list(spec, ';')) {
+    // The JSON object this request's key=value pairs spell: "model" is a
+    // string, every other value a number.
+    util::JsonValue doc;
+    doc.kind = util::JsonValue::Kind::kObject;
+    for (const auto& pair : util::split_list(text, ',')) {
+      std::string key;
+      std::string raw;
+      if (!util::split_key_value(pair, key, raw)) {
+        throw std::runtime_error("bad request field '" + pair +
                                  "' (want key=value)");
       }
-      const std::string key{util::trim(pair.substr(0, eq))};
-      const std::string value{util::trim(pair.substr(eq + 1))};
-      util::JsonValue parsed;
+      util::JsonValue& value = doc.object[key];
       if (key == "model") {
-        parsed.kind = util::JsonValue::Kind::kString;
-        parsed.string = value;
-      } else {
-        parsed.kind = util::JsonValue::Kind::kNumber;
-        if (!util::parse_double(value, parsed.number)) {
-          throw std::runtime_error("bad numeric value '" + value +
-                                   "' for field '" + key + "'");
-        }
+        value.kind = util::JsonValue::Kind::kString;
+        value.string = raw;
+        continue;
       }
-      apply_field(request, key, parsed);
+      value.kind = util::JsonValue::Kind::kNumber;
+      if (!util::parse_double(raw, value.number)) {
+        throw std::runtime_error("bad numeric value '" + raw +
+                                 "' for field '" + key + "'");
+      }
     }
-    validate(request);
-    script.requests.push_back(std::move(request));
+    script.requests.push_back(read_request(doc));
   }
   return script;
 }

@@ -38,15 +38,17 @@ struct ReplayScript {
   std::vector<ReplayRequest> requests;
 };
 
-/// JSONL: one JSON object per line — {"model": "smote", "rows": 500,
-/// "seed": 7, "chunk_rows": 1024, "priority": 0, "deadline_ms": 250,
-/// "repeat": 4, "seed_stride": 1}. Only "model" and "rows" are required.
-/// Blank lines and lines starting with '#' are skipped. Throws
-/// std::runtime_error (with the line number) on malformed input.
+/// JSONL: one JSON object per line, e.g. {"model": "smote", "rows": 500,
+/// "seed": 7, "repeat": 4, "seed_stride": 1} — the job fields that
+/// read_sample_job reads (field table in docs/SERVING.md) plus `repeat`
+/// and `seed_stride`; a request needs a model and rows >= 1. Blank lines
+/// and lines starting with '#' are skipped. Throws std::runtime_error
+/// (with the line number) on malformed input.
 [[nodiscard]] ReplayScript parse_script_jsonl(std::istream& is);
 
 /// Inline spec: ';'-separated requests, each "key=value" pairs joined by
-/// ',' with the same fields as the JSONL form — e.g.
+/// ',' with the same fields as the JSONL form, every value but the
+/// model's a number — e.g.
 /// "model=smote,rows=500,seed=7,repeat=4;model=tvae,rows=200".
 [[nodiscard]] ReplayScript parse_script_inline(const std::string& spec);
 

@@ -1,6 +1,7 @@
 #include "serve/sample_service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -105,6 +106,88 @@ ServiceStats read_service_stats(const util::JsonValue& doc) {
   s.host.stale_reloads = count(cache, "stale_reloads");
   s.host.invalidations = count(cache, "invalidations");
   return s;
+}
+
+namespace {
+
+// One range per job field (the field table in docs/SERVING.md).
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 40;
+constexpr std::int64_t kMaxNumericSeed = std::int64_t{1} << 53;
+constexpr std::int64_t kMaxPriority = 1'000'000;
+constexpr double kMaxDeadlineMs = 1e12;
+constexpr std::string_view kJobFields[] = {
+    "model", "rows", "seed", "chunk_rows", "threads", "priority",
+    "deadline_ms"};
+
+}  // namespace
+
+void write_sample_job(util::JsonWriter& w, const SampleJob& job) {
+  w.kv("model", job.model_key);
+  w.kv("rows", static_cast<std::uint64_t>(job.rows));
+  w.kv("seed", std::to_string(job.seed));
+  if (job.chunk_rows != 0) {
+    w.kv("chunk_rows", static_cast<std::uint64_t>(job.chunk_rows));
+  }
+  if (job.threads != 0) {
+    w.kv("threads", static_cast<std::uint64_t>(job.threads));
+  }
+  if (job.priority != 0) w.kv("priority", job.priority);
+  if (job.deadline_ms > 0.0) w.kv("deadline_ms", job.deadline_ms);
+}
+
+SampleJob read_sample_job(const util::JsonValue& doc) {
+  if (doc.kind != util::JsonValue::Kind::kObject) {
+    throw std::runtime_error("a job must be a JSON object");
+  }
+  SampleJob job;
+  // Runs `read` on the member `key` when present, naming it in any error.
+  const auto field = [&doc](const char* key, bool required,
+                            const auto& read) {
+    if (!doc.has(key)) {
+      if (!required) return;
+      throw std::runtime_error(std::string("'") + key + "' is required");
+    }
+    try {
+      read(doc.at(key));
+    } catch (const std::exception& e) {
+      throw std::runtime_error(std::string("'") + key + "': " + e.what());
+    }
+  };
+  using Value = util::JsonValue;
+  const auto count = [](const Value& v) {
+    return static_cast<std::size_t>(v.as_integer(0, kMaxCount));
+  };
+  field("model", true, [&](const Value& v) { job.model_key = v.as_string(); });
+  field("rows", true, [&](const Value& v) { job.rows = count(v); });
+  field("seed", false, [&](const Value& v) {
+    if (v.kind != Value::Kind::kString) {
+      job.seed = static_cast<std::uint64_t>(v.as_integer(0, kMaxNumericSeed));
+      return;
+    }
+    const std::string& s = v.string;
+    const auto res = std::from_chars(s.data(), s.data() + s.size(), job.seed);
+    if (res.ec != std::errc{} || res.ptr != s.data() + s.size()) {
+      throw std::runtime_error("'" + s + "' is not a decimal 64-bit seed");
+    }
+  });
+  field("chunk_rows", false,
+        [&](const Value& v) { job.chunk_rows = count(v); });
+  field("threads", false, [&](const Value& v) { job.threads = count(v); });
+  field("priority", false, [&](const Value& v) {
+    job.priority = static_cast<int>(v.as_integer(-kMaxPriority, kMaxPriority));
+  });
+  field("deadline_ms", false, [&](const Value& v) {
+    job.deadline_ms = v.as_number();
+    if (!(job.deadline_ms >= 0.0 && job.deadline_ms <= kMaxDeadlineMs)) {
+      throw std::runtime_error("expected a number in [0, 1e12]");
+    }
+  });
+  return job;
+}
+
+bool is_sample_job_field(std::string_view key) noexcept {
+  return std::find(std::begin(kJobFields), std::end(kJobFields), key) !=
+         std::end(kJobFields);
 }
 
 namespace {

@@ -35,6 +35,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/latency_window.hpp"
@@ -197,6 +198,23 @@ void write_service_stats(util::JsonWriter& w, const ServiceStats& s);
 /// (a /v1/stats document): a missing key reads as 0, a null percentile as
 /// +infinity.
 [[nodiscard]] ServiceStats read_service_stats(const util::JsonValue& doc);
+
+/// The one JSON form of a SampleJob, shared by POST /v1/sample bodies,
+/// replay-script lines and ApiClient (docs/SERVING.md has the field
+/// table): writes "model", "rows" and "seed" (a decimal string, since a
+/// 64-bit seed does not survive a JSON double), then each of "chunk_rows",
+/// "threads", "priority" and "deadline_ms" that is not at its default,
+/// into the open object `w`.
+void write_sample_job(util::JsonWriter& w, const SampleJob& job);
+/// Inverse of write_sample_job over a JSON object: "model" and "rows" are
+/// required; every field must have its kind and lie in its range (counts
+/// whole in [0, 2^40], seed whole in [0, 2^53] or a decimal string,
+/// priority whole in [-10^6, 10^6], deadline_ms in [0, 10^12]). Throws
+/// std::runtime_error naming the field. Members that are not job fields
+/// are left to the caller (see is_sample_job_field).
+[[nodiscard]] SampleJob read_sample_job(const util::JsonValue& doc);
+/// True when `key` is one of the fields read_sample_job reads.
+[[nodiscard]] bool is_sample_job_field(std::string_view key) noexcept;
 
 /// A submitted job's handle: the future plus the id cancel() takes.
 struct Submitted {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -324,6 +325,17 @@ bool JsonValue::has(const std::string& key) const noexcept {
 double JsonValue::as_number() const {
   if (kind != Kind::kNumber) kind_error("number", kind);
   return number;
+}
+
+std::int64_t JsonValue::as_integer(std::int64_t min, std::int64_t max) const {
+  const double v = as_number();
+  if (!(v >= static_cast<double>(min) && v <= static_cast<double>(max)) ||
+      v != std::floor(v)) {
+    throw std::runtime_error("json: expected a whole number in [" +
+                             std::to_string(min) + ", " +
+                             std::to_string(max) + "]");
+  }
+  return static_cast<std::int64_t>(v);
 }
 
 const std::string& JsonValue::as_string() const {

@@ -9,6 +9,7 @@
 // best-effort guess.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -40,6 +41,12 @@ struct JsonValue {
 
   /// Checked scalar reads (throw std::runtime_error on kind mismatch).
   [[nodiscard]] double as_number() const;
+  /// A whole number in [min, max], or std::runtime_error: the one read of
+  /// a count, cursor or seed, so no caller casts an out-of-range or
+  /// fractional double. Keep both bounds within +-2^53, where a double is
+  /// exact.
+  [[nodiscard]] std::int64_t as_integer(std::int64_t min,
+                                        std::int64_t max) const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] bool as_bool() const;
 

@@ -28,6 +28,25 @@ std::string_view trim(std::string_view s) noexcept {
   return s.substr(b, e - b);
 }
 
+std::vector<std::string> split_list(std::string_view s, char delim) {
+  std::vector<std::string> out;
+  for (const auto entry : split(s, delim)) {
+    if (const auto trimmed = trim(entry); !trimmed.empty()) {
+      out.emplace_back(trimmed);
+    }
+  }
+  return out;
+}
+
+bool split_key_value(std::string_view s, std::string& key,
+                     std::string& value) {
+  const auto eq = s.find('=');
+  if (eq == std::string_view::npos) return false;
+  key = trim(s.substr(0, eq));
+  value = trim(s.substr(eq + 1));
+  return true;
+}
+
 std::string join(const std::vector<std::string>& parts,
                  std::string_view sep) {
   std::string out;

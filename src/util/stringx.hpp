@@ -16,6 +16,16 @@ namespace surro::util {
 /// Trim ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view s) noexcept;
 
+/// A delimited list ("a, b,,c") as its trimmed, non-empty entries: the one
+/// splitter of command-line lists and inline request specs.
+[[nodiscard]] std::vector<std::string> split_list(std::string_view s,
+                                                  char delim);
+
+/// "key = value" split at the first '=' into trimmed halves; false (and
+/// `key`, `value` untouched) when there is no '='.
+[[nodiscard]] bool split_key_value(std::string_view s, std::string& key,
+                                   std::string& value);
+
 /// Join with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);

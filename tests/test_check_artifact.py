@@ -48,8 +48,8 @@ def soak(shards=1, replicas=1, transport="in-process", remotes=0,
         doc["shards"] = {"count": count, "local": shards, "remote": remotes,
                          "replicas": replicas, "routed": 8, "rerouted": 0,
                          "rerouted_transport": rerouted_transport,
-                         "per_shard": [{"submitted": 2, "rejected": 0}]
-                         * count}
+                         "per_shard": [{"submitted": 3, "rejected": 0}
+                                       for _ in range(count)]}
     if transport == "socket":
         doc["http"] = {"requests": 9, "connections": 4}
     return doc
@@ -159,7 +159,7 @@ CASES = {
         "a failed job": (0, "sweep", 2, "failed", 1),
         "a digest mismatch": (0, "sweep", 1, "hashes_ok", False),
         "expected_hash differs": (1, "expected_hash", "0" * 16)}),
-    "sharded": ([soak(4, 2, "socket"), soak(1, 1, "socket")], {
+    "sharded": ([soak(4, 3, "socket"), soak(1, 1, "socket")], {
         "a shard above max_queue_depth + 1":
             (0, "sweep", 3, "shard_max_depths", 3, 4),
         "baseline above max_queue_depth + 1":
@@ -170,6 +170,8 @@ CASES = {
         "a failed job": (0, "sweep", 0, "failed", 1),
         "a digest mismatch": (1, "sweep", 0, "hashes_ok", False),
         "nothing routed": (0, "shards", "routed", 0),
+        "an idle shard": (0, "shards", "per_shard", 2, "submitted", 0),
+        "2 replicas": (0, "config", "replicas", 2),
         "expected_hash differs": (1, "expected_hash", "0" * 16)}),
     "job": ([{"job_id": 7}], {"no job id": (0, {})}),
     "first-page": ([page(200, 200)], {

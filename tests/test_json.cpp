@@ -226,6 +226,22 @@ TEST(JsonParse, KindMismatchThrows) {
   EXPECT_THROW(static_cast<void>(parse("[1]").at("k")), std::runtime_error);
 }
 
+TEST(JsonParse, AsIntegerReadsOnlyWholeNumbersInRange) {
+  const auto doc = parse(R"({"n": 42, "neg": -7, "half": 2.5, "big": 1e300,)"
+                         R"( "s": "42"})");
+  EXPECT_EQ(doc.at("n").as_integer(0, 42), 42);
+  EXPECT_EQ(doc.at("neg").as_integer(-7, 0), -7);
+  for (const char* key : {"half", "big", "s"}) {
+    EXPECT_THROW(static_cast<void>(doc.at(key).as_integer(-1000, 1000)),
+                 std::runtime_error)
+        << key;
+  }
+  EXPECT_THROW(static_cast<void>(doc.at("n").as_integer(0, 41)),
+               std::runtime_error);
+  EXPECT_THROW(static_cast<void>(doc.at("neg").as_integer(0, 10)),
+               std::runtime_error);
+}
+
 TEST(JsonWriter, NestedDocumentRoundTrips) {
   JsonWriter w;
   w.begin_object();

@@ -19,8 +19,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <limits>
+#include <mutex>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,9 +34,11 @@
 #include "net/rest.hpp"
 #include "net/server.hpp"
 #include "serve/model_host.hpp"
+#include "serve/remote_shard.hpp"
 #include "serve/replay.hpp"
 #include "serve/sample_service.hpp"
 #include "serve/soak.hpp"
+#include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/rng.hpp"
 
@@ -594,6 +599,184 @@ TEST(RestApi, SubmitValidation) {
   const auto no_rows =
       fx.api->handle(json_post("/v1/sample", R"({"model":"smote"})"));
   EXPECT_EQ(no_rows.status, 400);
+}
+
+// ------------------------------------------------------------ job fields --
+
+/// A backend that records every job it is handed and resolves it at once
+/// with an empty table: what a request decodes to, without sampling.
+class RecordingBackend : public serve::SampleBackend {
+ public:
+  [[nodiscard]] serve::Submitted submit_job(serve::SampleJob job) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    jobs_.push_back(std::move(job));
+    std::promise<serve::SampleResult> done;
+    done.set_value({});
+    return {jobs_.size(), done.get_future()};
+  }
+  bool cancel(std::uint64_t /*job_id*/) override { return false; }
+  void drain() override {}
+  [[nodiscard]] serve::ServiceStats stats() const override { return {}; }
+  [[nodiscard]] std::size_t queue_depth() const override { return 0; }
+  [[nodiscard]] const serve::ServiceConfig& config() const noexcept override {
+    return cfg_;
+  }
+  [[nodiscard]] std::vector<std::string> model_keys() const override {
+    return {"smote"};
+  }
+  [[nodiscard]] bool has_model(const std::string& key) const override {
+    return key == "smote";
+  }
+  [[nodiscard]] bool model_resident(const std::string& /*key*/) const override {
+    return true;
+  }
+  [[nodiscard]] serve::SampleJob last() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return jobs_.back();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  serve::ServiceConfig cfg_;
+  std::vector<serve::SampleJob> jobs_;
+};
+
+void expect_same_job(const serve::SampleJob& got,
+                     const serve::SampleJob& want, const std::string& where) {
+  EXPECT_EQ(got.model_key, want.model_key) << where;
+  EXPECT_EQ(got.rows, want.rows) << where;
+  EXPECT_EQ(got.seed, want.seed) << where;
+  EXPECT_EQ(got.chunk_rows, want.chunk_rows) << where;
+  EXPECT_EQ(got.threads, want.threads) << where;
+  EXPECT_EQ(got.priority, want.priority) << where;
+  EXPECT_EQ(got.deadline_ms, want.deadline_ms) << where;
+}
+
+TEST(JobFields, PostBodyAndScriptLineAgreeOnEveryEdgeValue) {
+  RecordingBackend backend;
+  RestConfig cfg;
+  cfg.max_rows_per_job = 0;  // only the job reader's own ranges apply
+  RestApi api(backend, cfg);
+  // Valid, fractional, negative, over the field's range and wrong kind for
+  // every field, plus decimal-string seeds. 2^40 = 1099511627776 bounds
+  // the counts and 2^53 = 9007199254740992 a numeric seed.
+  const std::pair<const char*, bool> cases[] = {
+      {R"({"model":"smote","rows":1})", true},
+      {R"({"model":"smote","rows":1099511627776})", true},
+      {R"({"model":"smote","rows":2.5})", false},
+      {R"({"model":"smote","rows":-1})", false},
+      {R"({"model":"smote","rows":1099511627777})", false},
+      {R"({"model":"smote","rows":"4"})", false},
+      {R"({"model":"smote"})", false},
+      {R"({"model":7,"rows":4})", false},
+      {R"({"rows":4})", false},
+      {R"({"model":"smote","rows":4,"seed":9007199254740992})", true},
+      {R"({"model":"smote","rows":4,"seed":"7"})", true},
+      {R"({"model":"smote","rows":4,"seed":"18446744073709551615"})", true},
+      {R"({"model":"smote","rows":4,"seed":7.5})", false},
+      {R"({"model":"smote","rows":4,"seed":-7})", false},
+      {R"({"model":"smote","rows":4,"seed":9007199254740994})", false},
+      {R"({"model":"smote","rows":4,"seed":"18446744073709551616"})", false},
+      {R"({"model":"smote","rows":4,"seed":"-7"})", false},
+      {R"({"model":"smote","rows":4,"seed":"7x"})", false},
+      {R"({"model":"smote","rows":4,"seed":true})", false},
+      {R"({"model":"smote","rows":4,"chunk_rows":128})", true},
+      {R"({"model":"smote","rows":4,"chunk_rows":1.5})", false},
+      {R"({"model":"smote","rows":4,"chunk_rows":-1})", false},
+      {R"({"model":"smote","rows":4,"chunk_rows":1099511627777})", false},
+      {R"({"model":"smote","rows":4,"chunk_rows":"128"})", false},
+      {R"({"model":"smote","rows":4,"threads":2})", true},
+      {R"({"model":"smote","rows":4,"threads":2.5})", false},
+      {R"({"model":"smote","rows":4,"threads":-2})", false},
+      {R"({"model":"smote","rows":4,"threads":1099511627777})", false},
+      {R"({"model":"smote","rows":4,"threads":null})", false},
+      {R"({"model":"smote","rows":4,"priority":-1000000})", true},
+      {R"({"model":"smote","rows":4,"priority":1000000})", true},
+      {R"({"model":"smote","rows":4,"priority":1.5})", false},
+      {R"({"model":"smote","rows":4,"priority":-1000001})", false},
+      {R"({"model":"smote","rows":4,"priority":1000001})", false},
+      {R"({"model":"smote","rows":4,"priority":1e300})", false},
+      {R"({"model":"smote","rows":4,"priority":"5"})", false},
+      {R"({"model":"smote","rows":4,"deadline_ms":0.5})", true},
+      {R"({"model":"smote","rows":4,"deadline_ms":1e12})", true},
+      {R"({"model":"smote","rows":4,"deadline_ms":-1})", false},
+      {R"({"model":"smote","rows":4,"deadline_ms":1.5e12})", false},
+      {R"({"model":"smote","rows":4,"deadline_ms":"250"})", false},
+      {R"({"model":"smote","rows":4,"chnk_rows":64})", false},
+  };
+  for (const auto& [body, valid] : cases) {
+    const auto response = api.handle(json_post("/v1/sample", body));
+    EXPECT_EQ(response.status, valid ? 202 : 400)
+        << body << " -> " << response.body;
+    std::optional<serve::SampleJob> scripted;
+    try {
+      std::istringstream line(body);
+      scripted = serve::parse_script_jsonl(line).requests.at(0).job;
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(scripted.has_value(), valid) << body;
+    if (response.status == 202 && scripted) {
+      expect_same_job(backend.last(), *scripted, body);
+    }
+  }
+  // A decimal-string seed keeps all 64 bits.
+  EXPECT_EQ(serve::read_sample_job(
+                util::parse_json(R"({"model":"m","rows":1,)"
+                                 R"("seed":"18446744073709551615"})"))
+                .seed,
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(JobFields, WriterEmitsTheWireFormAndReadsBack) {
+  const auto written = [](const serve::SampleJob& job) {
+    util::JsonWriter w;
+    w.begin_object();
+    serve::write_sample_job(w, job);
+    w.end_object();
+    return w.str();
+  };
+  serve::SampleJob job;
+  job.model_key = "smote";
+  job.rows = 500;
+  EXPECT_EQ(written(job), R"({"model":"smote","rows":500,"seed":"1234"})");
+  job.seed = std::numeric_limits<std::uint64_t>::max();
+  job.chunk_rows = 64;
+  job.priority = -3;
+  job.deadline_ms = 250.5;
+  // The body ApiClient sends for a job without a thread cap.
+  EXPECT_EQ(written(job),
+            R"({"model":"smote","rows":500,"seed":"18446744073709551615",)"
+            R"("chunk_rows":64,"priority":-3,"deadline_ms":250.5})");
+  job.threads = 3;
+  const std::string text = written(job);
+  EXPECT_NE(text.find(R"("chunk_rows":64,"threads":3,"priority":-3)"),
+            std::string::npos)
+      << text;
+  expect_same_job(serve::read_sample_job(util::parse_json(text)), job, text);
+}
+
+TEST(JobFields, RemoteShardCarriesEveryJobField) {
+  RecordingBackend backend;
+  HttpEndpoint endpoint(backend);
+  endpoint.server.start();
+  serve::RemoteShardConfig cfg;
+  cfg.port = endpoint.server.port();
+  cfg.http = ClientConfig{5.0, 1, 0.0, 0.0};
+  cfg.poll_wait_ms = 100.0;
+  serve::SampleJob job;
+  job.model_key = "smote";
+  job.rows = 4;
+  job.seed = 987654321098765432ULL;
+  job.chunk_rows = 64;
+  job.threads = 3;
+  job.priority = 2;
+  job.deadline_ms = 5000.0;
+  {
+    serve::RemoteShard shard(cfg);
+    EXPECT_EQ(shard.submit_job(job).future.get().table.num_rows(), 0u);
+  }
+  expect_same_job(backend.last(), job, "over the wire");
+  endpoint.server.stop();
 }
 
 TEST(RestApi, SubmitPaginateReassembleMatchesLocalDigest) {

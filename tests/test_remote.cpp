@@ -3,8 +3,9 @@
 //   * Error-map round trip — the one shared ServiceError <-> wire-code <->
 //     HTTP-status table (src/net/error_map) maps every code there and back.
 //   * Transport-error taxonomy — connection refused, a server closing
-//     mid-response, a malformed 2xx body, and a timeout each surface as a
-//     typed net::TransportError of the right Kind; none hang or crash.
+//     mid-response, a malformed 2xx body, a result page that does not
+//     advance its cursor, and a timeout each surface as a typed
+//     net::TransportError of the right Kind; none hang or crash.
 //   * Graceful shutdown order — stop accepts first, then drain: every job
 //     admitted before the stop still completes (the serve --worker SIGTERM
 //     path, exercised here through the same loopback endpoint).
@@ -276,6 +277,76 @@ class OneShotServer {
   std::thread thread_;
 };
 
+/// A keep-alive stub peer on one connection: it answers each request with
+/// `page` until it has served `pages` of them, then with a 500, and hangs
+/// up. A pager that trusts what the page says about the cursor would
+/// otherwise fetch from it forever; here it ends on the 500 instead.
+class PageServer {
+ public:
+  PageServer(std::string page, std::size_t pages)
+      : page_(std::move(page)), pages_(pages) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = ::htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd_, 4) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      throw std::runtime_error("PageServer: bind/listen failed");
+    }
+    port_ = ::ntohs(addr.sin_port);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~PageServer() {
+    ::shutdown(fd_, SHUT_RDWR);  // wakes an accept() no client reached
+    thread_.join();
+    ::close(fd_);
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::size_t served() const { return served_.load(); }
+
+ private:
+  void serve() {
+    const int conn = ::accept(fd_, nullptr, nullptr);
+    if (conn < 0) return;
+    std::string pending;
+    char chunk[4096];
+    for (;;) {
+      std::size_t end = 0;
+      while ((end = pending.find("\r\n\r\n")) == std::string::npos) {
+        const ssize_t n = ::recv(conn, chunk, sizeof(chunk), 0);
+        if (n <= 0) {
+          ::close(conn);
+          return;
+        }
+        pending.append(chunk, static_cast<std::size_t>(n));
+      }
+      pending.erase(0, end + 4);  // one GET: headers only
+      const bool more = served_.load() < pages_;
+      // Counted before it is sent: the client may read served() as soon
+      // as the page lands.
+      if (more) ++served_;
+      const std::string body = more ? page_ : "{}";
+      const std::string wire =
+          std::string(more ? "HTTP/1.1 200 OK" : "HTTP/1.1 500 Oops") +
+          "\r\ncontent-length: " + std::to_string(body.size()) + "\r\n\r\n" +
+          body;
+      (void)::send(conn, wire.data(), wire.size(), MSG_NOSIGNAL);
+      if (!more) break;
+    }
+    ::close(conn);
+  }
+
+  std::string page_;
+  std::size_t pages_;
+  std::atomic<std::size_t> served_{0};
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
 /// An ephemeral port with nothing listening on it: bind, read, close.
 /// (The port COULD be reused before the test connects; in practice the
 /// race window is microseconds on a loopback-only test host.)
@@ -499,6 +570,48 @@ TEST(TransportErrors, TricklingServerIsTypedTimeoutWithinTheBudget) {
                                           start)
                 .count(),
             3.0);
+}
+
+TEST(TransportErrors, PageThatDoesNotAdvanceOrSpanItsRowsIsTypedMalformed) {
+  // Done pages of a one-column job at cursor 0: "rows" is the result's
+  // total, "next_cursor" where the next page starts (null on the last).
+  const auto page = [](const std::string& rows, const std::string& next,
+                       const std::string& data) {
+    return R"({"job_id":"1","status":"done","model":"m","rows":)" + rows +
+           R"(,"cursor":0,"next_cursor":)" + next +
+           R"(,"schema":[{"name":"x","kind":"numerical"}],"data":)" + data +
+           "}";
+  };
+  const std::pair<const char*, std::string> doctored[] = {
+      {"a cursor that never moves", page("4", "0", "[]")},
+      {"a negative cursor", page("4", "-1", "[]")},
+      {"a fractional cursor", page("4", "1.5", "[[1]]")},
+      {"a cursor past the rows", page("4", "5", "[[1],[2],[3],[4],[5]]")},
+      {"fewer rows than the page spans", page("4", "2", "[[1]]")},
+      {"a short last page", page("4", "null", "[[1],[2]]")},
+      {"a long last page", page("1", "null", "[[1],[2]]")},
+  };
+  for (const auto& [what, body] : doctored) {
+    PageServer server(body, 50);
+    net::ApiClient api("127.0.0.1", server.port(), "",
+                       net::ClientConfig{2.0, 1, 0.0, 0.0});
+    try {
+      (void)api.wait_result(1, 0, 0.0);
+      ADD_FAILURE() << what << ": expected TransportError";
+    } catch (const net::TransportError& e) {
+      EXPECT_EQ(e.kind(), net::TransportError::Kind::kMalformed) << what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what() << " after "
+                    << server.served() << " pages";
+    }
+    EXPECT_EQ(server.served(), 1u) << what;
+  }
+  // The same stub with an honest page: one fetch, two rows.
+  PageServer honest(page("2", "null", "[[1],[2]]"), 50);
+  net::ApiClient api("127.0.0.1", honest.port(), "",
+                     net::ClientConfig{2.0, 1, 0.0, 0.0});
+  EXPECT_EQ(api.wait_result(1, 0, 0.0).table.num_rows(), 2u);
+  EXPECT_EQ(honest.served(), 1u);
 }
 
 TEST(TransportErrors, KindNamesAreStable) {

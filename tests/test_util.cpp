@@ -41,6 +41,23 @@ TEST(Stringx, Trim) {
   EXPECT_EQ(trim("\t a b \n"), "a b");
 }
 
+TEST(Stringx, SplitListTrimsAndDropsEmptyEntries) {
+  EXPECT_EQ(split_list(" random, hybrid ,,least-loaded ", ','),
+            (std::vector<std::string>{"random", "hybrid", "least-loaded"}));
+  EXPECT_TRUE(split_list(" ; ", ';').empty());
+  EXPECT_TRUE(split_list("", ',').empty());
+}
+
+TEST(Stringx, SplitKeyValueAtTheFirstEquals) {
+  std::string key = "k";
+  std::string value = "v";
+  EXPECT_FALSE(split_key_value("no equals", key, value));
+  EXPECT_EQ(key, "k");
+  ASSERT_TRUE(split_key_value(" days = 10,21=x ", key, value));
+  EXPECT_EQ(key, "days");
+  EXPECT_EQ(value, "10,21=x");
+}
+
 TEST(Stringx, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, "."), "a.b.c");
   EXPECT_EQ(join({}, "."), "");

@@ -210,7 +210,7 @@ def check_sharded(path, baseline_path):
     sharded = load(path, "serve_soak")
     baseline = load(baseline_path, "serve_soak")
     cfg = sharded["config"]
-    assert cfg["shards"] == 4 and cfg["replicas"] == 2, cfg
+    assert cfg["shards"] == 4 and cfg["replicas"] == 3, cfg
     assert baseline["config"]["shards"] == 1, baseline["config"]
     for d in (sharded, baseline):
         assert d["deterministic"] is True, d["expected_hash"]
@@ -219,12 +219,13 @@ def check_sharded(path, baseline_path):
     # Placement never changes bytes.
     same("expected_hash", sharded, baseline)
     shards = sharded["shards"]
-    assert shards["count"] == 4 and shards["replicas"] == 2, shards
+    assert shards["count"] == 4 and shards["replicas"] == 3, shards
     assert shards["routed"] > 0, shards
     assert len(shards["per_shard"]) == 4, shards
-    routed_submits = sum(s["submitted"] + s["rejected"]
-                         for s in shards["per_shard"])
-    assert routed_submits >= shards["routed"], (routed_submits, shards)
+    # Every shard took work: a gate over an idle shard checks nothing.
+    per_shard = [s["submitted"] + s["rejected"] for s in shards["per_shard"]]
+    assert min(per_shard) >= 1, per_shard
+    assert sum(per_shard) >= shards["routed"], (per_shard, shards)
     # Sharding never collapses throughput (0.75 is slack for runner noise).
     cap, cap_base = (sharded["capacity_jobs_per_sec"],
                      baseline["capacity_jobs_per_sec"])

@@ -101,15 +101,17 @@ check serve serve/serve_stats.json serve/serve_stats_alt.json
 
 # --- Overload soak over all four models: one sweep config (a shallow
 # reject queue, 4 Poisson clients, offered load 0.5x to 4x the calibrated
-# capacity) run twice in-process, then over a socket at 4 shards x 2
-# replicas and at 1 shard. soak exits nonzero on a digest mismatch.
+# capacity) run twice in-process, then over a socket at 4 shards x 3
+# replicas and at 1 shard. With 3 replicas every shard owns a replica of
+# some model key (at 2, shard 2 owns none). soak exits nonzero on a digest
+# mismatch.
 mkdir -p soak
 sweep=(--models-dir models --load 0.5,1,2,4 --clients 4 --rows 500
        --streams 4 --duration 2 --max-queue 2 --admission reject --seed 42)
 "$CLI" soak "${sweep[@]}" --json-out soak/serve_soak.json
 "$CLI" soak "${sweep[@]}" --json-out soak/serve_soak_rerun.json
 check soak soak/serve_soak.json soak/serve_soak_rerun.json
-"$CLI" soak "${sweep[@]}" --over-socket --shards 4 --replicas 2 \
+"$CLI" soak "${sweep[@]}" --over-socket --shards 4 --replicas 3 \
   --json-out soak/serve_soak_sharded.json
 "$CLI" soak "${sweep[@]}" --over-socket \
   --json-out soak/serve_soak_baseline.json

@@ -1,77 +1,16 @@
 // surro_cli — command-line front end for the surro library.
 //
-//   surro_cli models
-//   surro_cli generate     --days 30 --rate 240 --seed 42 --out jobs.csv
-//   surro_cli profile      --data jobs.csv
-//   surro_cli synthesize   --data jobs.csv --model tabddpm --rows 5000
-//                          --epochs 30 --seed 7 --threads 4 --out synth.csv
-//   surro_cli save-model   --data jobs.csv --model tabddpm --epochs 30
-//                          --seed 7 --out model.bin
-//   surro_cli sample-model --model-file model.bin --rows 100000 --seed 9
-//                          --threads 8 --out synth.csv
-//   surro_cli evaluate     --real jobs.csv --synth synth.csv
-//   surro_cli simulate     --data jobs.csv --policy hybrid
-//   surro_cli twin         --data jobs.csv --model smote --rows 2000
-//                          --policies "random,locality,least-loaded,hybrid"
-//                          --scenarios "none,outage,burst,storm"
-//                          --drifts none --json-out twin_matrix.json
-//   surro_cli matrix       --axes "days=10,21;anomaly=0,0.05;rows=1000"
-//                          --json-out matrix.json --threads 4 --epochs 12
-//   surro_cli stream       --axes "stride=1,7;drift=none,mean_shift;
-//                          refresh=cold,warm;models=smote,tvae"
-//                          --window 7 --json-out stream.json
-//   surro_cli serve        --models "smote=model.bin" --script reqs.jsonl
-//                          --clients 4 --capacity 2 --admission reject
-//                          --max-queue 8 --json-out serve.json
-//   surro_cli serve        --models "smote=model.bin" --listen 8080
-//                          --api-keys-file keys.txt --quota-rps 50
-//                          --max-body-bytes 1048576 --http-workers 8
-//   surro_cli request      --connect 127.0.0.1:8080 --method POST
-//                          --path /v1/sample --body '{"model":"smote",...}'
-//                          --key prod-1 --expect-status 202
-//   surro_cli soak         --models "smote=model.bin" --load "0.5,1,2,4"
-//                          --clients 4 --rows 1000 --duration 2
-//                          --admission reject --max-queue 4
-//                          --json-out soak.json [--over-socket]
-//
-// Tables are CSV files with the paper's 9-column schema (see
-// panda::job_table_schema). Models are addressed by registry key; `models`
-// lists everything that self-registered. `save-model` trains once and
-// persists the fitted state; `sample-model` reloads it and synthesizes —
-// chunked, parallel (--threads), and bitwise-identical for any thread
-// count. `matrix` expands the --axes grid into scenarios (collection-window
-// days × anomaly fraction × synthetic-row scale × model set), evaluates
-// every scenario × model cell with concurrent scoring, and writes the JSON
-// artifact CI archives. `stream` does the same for the streaming workload:
-// its axes are window stride, drift family, and refresh regime (cold refit
-// vs warm delta refresh), and its JSON carries per-window fidelity decay
-// curves plus refresh timings. `serve` stands up the serving layer — a
-// ModelHost LRU cache over saved archives plus the SampleService —
-// replays a request script against it from N concurrent clients, and
-// writes the serve_stats JSON artifact; --admission/--max-queue/
-// --max-queued-rows bound the admission queue (block, reject, or shed on
-// overflow). With --listen, `serve` instead exposes the service as the
-// HTTP/1.1 REST API (src/net) — POST /v1/sample, paginated
-// GET /v1/jobs/{id}, DELETE for cancel, /v1/models, /v1/stats, /healthz —
-// with optional API keys and token-bucket quotas; `request` is the
-// matching command-line HTTP client. `soak` drives the bounded service
-// with Poisson-arrival clients at a sweep of offered-load multipliers and
-// verifies the overload SLOs plus per-job output determinism (serve_soak
-// artifact); --over-socket runs the same sweep through the HTTP front end
-// so the SLOs and the determinism digest are asserted over the wire.
-// `twin` closes the loop the paper motivates: it trains a surrogate on the
-// real stream, samples a synthetic twin stream, and runs BOTH through the
-// cluster simulator under every (disruption scenario × drift family) cell
-// and every allocation policy — scoring decision fidelity (would the
-// surrogate have picked the same policy?) next to the per-policy outcome
-// gap, and writing the twin_matrix JSON artifact with a thread-count-
-// invariant outcome digest. --via-service samples through the serving
-// tier's SampleBackend instead of the model directly (same bytes — the
-// serving determinism contract is part of the loop).
-// See docs/CLI.md for the full reference.
+// Every command is one entry of kCommands (at the bottom of this file): its
+// handler and its usage lines. `surro_cli` with no command prints every
+// entry's lines, and a command's lines are also its flag declaration: a
+// --flag they do not name is refused (the global --simd excepted). Tables
+// are CSV files with the paper's 9-column schema (panda::job_table_schema);
+// models are registry keys (`surro_cli models`). docs/CLI.md is the full
+// reference.
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -83,6 +22,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <unistd.h>
@@ -143,24 +83,6 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    const std::string key = argv[i] + 2;
-    // A flag is boolean when it is the last token or the next token is
-    // itself a --flag; otherwise it consumes the next token as its value.
-    // (Values may start with a single '-': negative numbers still work.)
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.kv[key] = argv[i + 1];
-      ++i;
-    } else {
-      args.bare.insert(key);
-    }
-  }
-  return args;
-}
-
 std::string model_list() {
   std::string out;
   for (const auto& key : models::GeneratorRegistry::instance().keys()) {
@@ -170,83 +92,12 @@ std::string model_list() {
   return out;
 }
 
-int usage() {
-  const std::string keys = model_list();
-  std::fprintf(
-      stderr,
-      "usage: surro_cli <command> [--key value ...] [--flag]\n"
-      "global: every command accepts --simd {auto|scalar|avx2|neon} to pin\n"
-      "        the kernel backend (same names as SURRO_SIMD env var;\n"
-      "        see docs/PERFORMANCE.md)\n"
-      "  version               print version and active SIMD backend\n"
-      "  models                list registered surrogate models\n"
-      "  generate     --days D --rate R --seed S --out FILE\n"
-      "  profile      --data FILE\n"
-      "  synthesize   --data FILE --model {%s}\n"
-      "               --rows N --epochs E --seed S --threads T --out FILE\n"
-      "  save-model   --data FILE --model {%s}\n"
-      "               --epochs E --seed S --out FILE [--verbose]\n"
-      "  sample-model --model-file FILE --rows N --seed S --threads T\n"
-      "               --chunk-rows C --out FILE\n"
-      "  evaluate     --real FILE --synth FILE\n"
-      "  simulate     --data FILE --policy {random|locality|least|hybrid}\n"
-      "  twin         --data FILE | --days D --rate R\n"
-      "               --model {%s}\n"
-      "               --rows N --epochs E --seed S\n"
-      "               --policies \"random,locality,least-loaded,"
-      "hybrid[:T]\"\n"
-      "               --scenarios \"none,outage,burst,storm\"\n"
-      "               --drifts \"none,mean_shift,...\" --intensity I\n"
-      "               --outage-sites K --capacity-scale C --threads T\n"
-      "               --json-out FILE [--serial] [--via-service] "
-      "[--verbose]\n"
-      "  matrix       --axes \"days=D1,D2;anomaly=F1,F2;rows=N1,N2;"
-      "models=K1,K2\"\n"
-      "               --json-out FILE --threads T --epochs E --seed S\n"
-      "               [--serial-score] [--verbose]\n"
-      "  stream       --axes \"stride=S1,S2;drift=none,mean_shift;"
-      "refresh=cold,warm;models=K1,K2\"\n"
-      "               --window W --days D --rows N --intensity I\n"
-      "               --json-out FILE --threads T --epochs E --seed S\n"
-      "               [--score-dcr] [--serial-score] [--verbose]\n"
-      "  serve        --models \"K1=FILE;K2=FILE\" | --models-dir DIR\n"
-      "               --script FILE.jsonl | --requests "
-      "\"model=K,rows=N,seed=S,repeat=R;...\"\n"
-      "               --clients C --rounds R --capacity N --threads T\n"
-      "               --chunk-rows C\n"
-      "               --admission {block|reject|shed} --max-queue D\n"
-      "               --max-queued-rows R --json-out FILE [--verbose]\n"
-      "               [--shards N] [--replicas R] [--shard-ttl-ms MS]\n"
-      "               [--remote-shards HOST:PORT,...]\n"
-      "               HTTP mode: --listen PORT (0 = ephemeral)\n"
-      "               [--api-keys-file FILE] [--quota-rps R] "
-      "[--quota-burst B]\n"
-      "               [--max-body-bytes N] [--page-rows N] "
-      "[--http-workers T]\n"
-      "               [--serve-seconds S] [--self-probe]\n"
-      "               Worker mode: --worker [--port-file FILE]\n"
-      "               (single-shard HTTP leaf on an ephemeral port;\n"
-      "               SIGTERM drains in-flight jobs and exits 0)\n"
-      "  request      --connect HOST:PORT --path /v1/... [--method M]\n"
-      "               [--body JSON | --body-file FILE] [--key APIKEY]\n"
-      "               [--expect-status CODE] [--max-time S]\n"
-      "  soak         --models \"K1=FILE;K2=FILE\" | --models-dir DIR\n"
-      "               --load \"0.5,1,2,4\" --clients C --rows N\n"
-      "               --duration SECONDS --streams K --deadline-ms D\n"
-      "               --admission {block|reject|shed} --max-queue D\n"
-      "               --max-queued-rows R --capacity N --threads T\n"
-      "               --chunk-rows C --seed S\n"
-      "               --json-out FILE [--verbose] [--over-socket]\n"
-      "               [--shards N] [--replicas R] [--shard-ttl-ms MS]\n"
-      "               [--remote-shards HOST:PORT,...]\n"
-      "  fleet        --workers N --models \"K1=FILE;...\" | "
-      "--models-dir DIR\n"
-      "               [--local-shards N] [--replicas R] [--rows N]\n"
-      "               [--seed S] [--chunk-rows C] [--cli PATH]\n"
-      "               (spawn N worker processes, probe mixed-pool\n"
-      "               determinism vs in-process, tear down gracefully)\n",
-      keys.c_str(), keys.c_str(), keys.c_str());
-  return 2;
+/// Write one JSON artifact, newline-terminated, and say so.
+void write_artifact(const std::string& path, const std::string& json) {
+  std::ofstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("cannot write " + path);
+  file << json << '\n';
+  std::printf("wrote %s\n", path.c_str());
 }
 
 /// Validated registry lookup (keeps error messages uniform).
@@ -368,48 +219,48 @@ int cmd_evaluate(const Args& args) {
 
   util::Rng rng(99);
   const auto split = tabular::train_test_split(real, 0.8, rng);
-
-  metrics::ModelScore score;
-  score.model = "synthetic";
-  score.wd = metrics::mean_wasserstein(split.train, synth);
-  score.jsd = metrics::mean_jsd(split.train, synth);
-  score.diff_corr = metrics::diff_corr(split.train, synth);
-  metrics::DcrConfig dcr;
-  dcr.max_train_rows = 8000;
-  dcr.max_synth_rows = 4000;
-  score.dcr = metrics::mean_dcr(split.train, synth, dcr);
-  metrics::MlefConfig mlef;
-  const double train_mse = metrics::mlef_mse(split.train, split.test, mlef);
-  score.diff_mlef =
-      metrics::diff_mlef(metrics::mlef_mse(synth, split.test, mlef),
-                         train_mse);
-  std::printf("%s\n", metrics::render_table1({score}).c_str());
+  eval::ExperimentConfig cfg;
+  cfg.dcr.max_train_rows = 8000;
+  cfg.dcr.max_synth_rows = 4000;
+  const double train_mlef =
+      metrics::mlef_mse(split.train, split.test, cfg.mlef);
+  std::printf("%s\n", metrics::render_table1({eval::score_model(
+                                                 "synthetic", synth,
+                                                 split.train, split.test,
+                                                 train_mlef, cfg)})
+                          .c_str());
   return 0;
 }
 
-/// Parse the --axes grid: ';'-separated axes, each "name=v1,v2,...".
-/// Axis names: days (collection-window size), anomaly (injected fraction),
-/// rows (synthetic rows per model), models (registry keys).
-eval::ScenarioAxes parse_axes(const std::string& spec) {
-  eval::ScenarioAxes axes;
-  if (spec.empty()) return axes;
-  for (const auto axis : util::split(spec, ';')) {
-    const auto trimmed = util::trim(axis);
-    if (trimmed.empty()) continue;
-    const auto eq = trimmed.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("bad axis '" + std::string(trimmed) +
+/// An --axes grid, ';'-separated axes each "name=v1,v2,...": every axis
+/// name with its values.
+std::vector<std::pair<std::string, std::vector<std::string>>> parse_grid(
+    const std::string& spec) {
+  std::vector<std::pair<std::string, std::vector<std::string>>> grid;
+  for (const auto& axis : util::split_list(spec, ';')) {
+    std::string name;
+    std::string values;
+    if (!util::split_key_value(axis, name, values)) {
+      throw std::invalid_argument("bad axis '" + axis +
                                   "' (want name=v1,v2,...)");
     }
-    const auto name = util::trim(trimmed.substr(0, eq));
-    for (const auto raw : util::split(trimmed.substr(eq + 1), ',')) {
-      const auto value = util::trim(raw);
-      if (value.empty()) continue;
+    grid.emplace_back(name, util::split_list(values, ','));
+  }
+  return grid;
+}
+
+/// Matrix axes: days (collection-window size), anomaly (injected
+/// fraction), rows (synthetic rows per model), models (registry keys).
+eval::ScenarioAxes parse_axes(const std::string& spec) {
+  eval::ScenarioAxes axes;
+  for (const auto& [name, values] : parse_grid(spec)) {
+    for (const auto& value : values) {
+      // rows is a count: the CLI's count range keeps its cast defined.
       double num = 0.0;
-      if (name != "models" &&
-          (!util::parse_double(value, num) || num < 0.0)) {
-        throw std::invalid_argument("bad value '" + std::string(value) +
-                                    "' for axis '" + std::string(name) + "'");
+      if (name != "models" && (!util::parse_double(value, num) || num < 0.0 ||
+                               (name == "rows" && num > 1e12))) {
+        throw std::invalid_argument("bad value '" + value + "' for axis '" +
+                                    name + "'");
       }
       if (name == "days") {
         axes.window_days.push_back(num);
@@ -418,11 +269,10 @@ eval::ScenarioAxes parse_axes(const std::string& spec) {
       } else if (name == "rows") {
         axes.synth_rows.push_back(static_cast<std::size_t>(num));
       } else if (name == "models") {
-        axes.model_keys.emplace_back(value);
+        axes.model_keys.push_back(value);
       } else {
-        throw std::invalid_argument(
-            "unknown axis '" + std::string(name) +
-            "' (have: days, anomaly, rows, models)");
+        throw std::invalid_argument("unknown axis '" + name +
+                                    "' (have: days, anomaly, rows, models)");
       }
     }
   }
@@ -454,38 +304,21 @@ int cmd_matrix(const Args& args) {
   std::printf("%s", eval::render_matrix(result).c_str());
   std::printf("total wall-clock: %.1fs\n", result.wall_seconds);
 
-  const std::string out = args.get("json-out", "matrix_results.json");
-  std::ofstream file(out, std::ios::binary);
-  if (!file) {
-    throw std::runtime_error("cannot write " + out);
-  }
-  file << eval::matrix_to_json(cfg, result) << '\n';
-  std::printf("wrote %s\n", out.c_str());
+  write_artifact(args.get("json-out", "matrix_results.json"),
+                 eval::matrix_to_json(cfg, result));
   return 0;
 }
 
-/// Parse the stream --axes grid: ';'-separated axes, each "name=v1,v2,...".
-/// Axis names: stride (days between windows), drift (scenario family),
+/// Stream axes: stride (days between windows), drift (scenario family),
 /// refresh (cold|warm), models (registry keys).
 stream::StreamAxes parse_stream_axes(const std::string& spec) {
   stream::StreamAxes axes;
-  if (spec.empty()) return axes;
-  for (const auto axis : util::split(spec, ';')) {
-    const auto trimmed = util::trim(axis);
-    if (trimmed.empty()) continue;
-    const auto eq = trimmed.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("bad axis '" + std::string(trimmed) +
-                                  "' (want name=v1,v2,...)");
-    }
-    const auto name = util::trim(trimmed.substr(0, eq));
-    for (const auto raw : util::split(trimmed.substr(eq + 1), ',')) {
-      const auto value = util::trim(raw);
-      if (value.empty()) continue;
+  for (const auto& [name, values] : parse_grid(spec)) {
+    for (const auto& value : values) {
       if (name == "stride") {
         double num = 0.0;
         if (!util::parse_double(value, num) || !(num > 0.0)) {
-          throw std::invalid_argument("bad value '" + std::string(value) +
+          throw std::invalid_argument("bad value '" + value +
                                       "' for axis 'stride'");
         }
         axes.stride_days.push_back(num);
@@ -494,10 +327,10 @@ stream::StreamAxes parse_stream_axes(const std::string& spec) {
       } else if (name == "refresh") {
         axes.refresh.push_back(stream::parse_refresh_mode(value));
       } else if (name == "models") {
-        axes.model_keys.emplace_back(value);
+        axes.model_keys.push_back(value);
       } else {
         throw std::invalid_argument(
-            "unknown axis '" + std::string(name) +
+            "unknown axis '" + name +
             "' (have: stride, drift, refresh, models)");
       }
     }
@@ -536,31 +369,22 @@ int cmd_stream(const Args& args) {
   std::printf("%s", stream::render_stream(result).c_str());
   std::printf("total wall-clock: %.1fs\n", result.wall_seconds);
 
-  const std::string out = args.get("json-out", "stream_results.json");
-  std::ofstream file(out, std::ios::binary);
-  if (!file) {
-    throw std::runtime_error("cannot write " + out);
-  }
-  file << stream::stream_to_json(cfg, opts, result) << '\n';
-  std::printf("wrote %s\n", out.c_str());
+  write_artifact(args.get("json-out", "stream_results.json"),
+                 stream::stream_to_json(cfg, opts, result));
   return 0;
 }
 
 /// Register the serve model pool: --models "key=path;key=path" and/or
 /// --models-dir DIR (every *.bin file, keyed by its stem, sorted).
 void register_serve_models(serve::ModelHost& host, const Args& args) {
-  const std::string models_spec = args.get("models");  // split() keeps views
-  for (const auto raw : util::split(models_spec, ';')) {
-    const auto entry = util::trim(raw);
-    if (entry.empty()) continue;
-    const auto eq = entry.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("bad --models entry '" +
-                                  std::string(entry) +
+  for (const auto& entry : util::split_list(args.get("models"), ';')) {
+    std::string key;
+    std::string path;
+    if (!util::split_key_value(entry, key, path)) {
+      throw std::invalid_argument("bad --models entry '" + entry +
                                   "' (want key=archive.bin)");
     }
-    host.register_archive(std::string(util::trim(entry.substr(0, eq))),
-                          std::string(util::trim(entry.substr(eq + 1))));
+    host.register_archive(key, path);
   }
   if (args.has("models-dir")) {
     const std::filesystem::path dir = args.get("models-dir");
@@ -664,8 +488,7 @@ int cmd_serve_listen(const Args& args, serve::SampleBackend& service,
     const serve::SampleJob probe{
         keys.front(), std::max<std::size_t>(args.count("rows", 256.0), 1),
         args.count("seed", 7.0), service.config().chunk_rows};
-    const std::uint64_t job =
-        api.submit(probe.model_key, probe.rows, probe.seed, probe.chunk_rows);
+    const std::uint64_t job = api.submit(probe);
     const net::RemoteResult remote = api.wait_result(job, probe.rows / 3 + 1);
     // The determinism contract over the wire: the paginated pages must
     // reassemble to the exact bytes a direct in-process sample produces —
@@ -762,11 +585,8 @@ serve::ShardPoolConfig backend_flags(const Args& args, const char* admission,
   cfg.service.max_queued_rows = args.count("max-queued-rows", 0.0);
   cfg.shards = std::max<std::size_t>(args.count("shards", 1.0), 1);
   cfg.replication = std::max<std::size_t>(args.count("replicas", 1.0), 1);
-  const std::string remotes = args.get("remote-shards");
-  for (const auto raw : util::split(remotes, ',')) {
-    const auto entry = util::trim(raw);
-    if (entry.empty()) continue;
-    cfg.remotes.push_back(serve::parse_remote_endpoint(std::string(entry)));
+  for (const auto& entry : util::split_list(args.get("remote-shards"), ',')) {
+    cfg.remotes.push_back(serve::parse_remote_endpoint(entry));
   }
   return cfg;
 }
@@ -853,11 +673,8 @@ int cmd_serve(const Args& args) {
                  static_cast<unsigned long long>(n.failed));
   }
 
-  const std::string out = args.get("json-out", "serve_stats.json");
-  std::ofstream file(out, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot write " + out);
-  file << serve::serve_stats_to_json(service, opts, result) << '\n';
-  std::printf("wrote %s\n", out.c_str());
+  write_artifact(args.get("json-out", "serve_stats.json"),
+                 serve::serve_stats_to_json(service, opts, result));
   return n.failed == 0 ? 0 : 1;
 }
 
@@ -867,16 +684,13 @@ int cmd_soak(const Args& args) {
   serve::ModelHost host({.capacity = soak.backend.host.capacity});
   register_serve_models(host, args);
   soak.models = host.keys();
-  const std::string load_spec = args.get("load");  // split() keeps views
   if (args.has("load")) {
     soak.load_multipliers.clear();
-    for (const auto raw : util::split(load_spec, ',')) {
-      const auto value = util::trim(raw);
-      if (value.empty()) continue;
+    for (const auto& value : util::split_list(args.get("load"), ',')) {
       double m = 0.0;
       if (!util::parse_double(value, m) || !(m > 0.0)) {
-        throw std::invalid_argument("soak: bad --load multiplier '" +
-                                    std::string(value) + "'");
+        throw std::invalid_argument("soak: bad --load multiplier '" + value +
+                                    "'");
       }
       soak.load_multipliers.push_back(m);
     }
@@ -902,11 +716,8 @@ int cmd_soak(const Args& args) {
               soak.over_socket ? "socket" : "in-process");
   std::printf("%s", serve::render_soak(result).c_str());
 
-  const std::string out = args.get("json-out", "serve_soak.json");
-  std::ofstream file(out, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot write " + out);
-  file << serve::soak_to_json(soak, result) << '\n';
-  std::printf("wrote %s\n", out.c_str());
+  write_artifact(args.get("json-out", "serve_soak.json"),
+                 serve::soak_to_json(soak, result));
   return result.deterministic ? 0 : 1;
 }
 
@@ -1052,15 +863,6 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
-/// Comma-separated CLI list -> trimmed entries (empty entries dropped).
-std::vector<std::string> parse_list(const std::string& csv) {
-  std::vector<std::string> out;
-  for (const auto part : util::split(csv, ',')) {
-    if (!part.empty()) out.emplace_back(part);
-  }
-  return out;
-}
-
 int cmd_twin(const Args& args) {
   // 1. The real stream: a CSV capture, or the PanDA record generator.
   tabular::Table real;
@@ -1117,17 +919,17 @@ int cmd_twin(const Args& args) {
   twin::TwinConfig cfg;
   cfg.sim.capacity_scale = args.num("capacity-scale", 0.0002);
   if (args.kv.contains("policies")) {
-    cfg.policies = parse_list(args.get("policies"));
+    cfg.policies = util::split_list(args.get("policies"), ',');
   }
   if (args.kv.contains("scenarios")) {
     cfg.disruptions.clear();
-    for (const auto& name : parse_list(args.get("scenarios"))) {
+    for (const auto& name : util::split_list(args.get("scenarios"), ',')) {
       cfg.disruptions.push_back(twin::parse_disruption_kind(name));
     }
   }
   if (args.kv.contains("drifts")) {
     cfg.drifts.clear();
-    for (const auto& name : parse_list(args.get("drifts"))) {
+    for (const auto& name : util::split_list(args.get("drifts"), ',')) {
       cfg.drifts.push_back(stream::parse_drift_kind(name));
     }
   }
@@ -1151,19 +953,13 @@ int cmd_twin(const Args& args) {
               cfg.drifts.size(), cfg.policies.size(), result.wall_seconds);
   std::printf("%s", twin::render_twin(result).c_str());
 
-  const std::string out = args.get("json-out", "twin_matrix.json");
-  std::ofstream file(out, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot write " + out);
-  file << twin::twin_to_json(cfg, result, key, real.num_rows(),
-                             synth.num_rows())
-       << '\n';
-  std::printf("wrote %s\n", out.c_str());
+  write_artifact(args.get("json-out", "twin_matrix.json"),
+                 twin::twin_to_json(cfg, result, key, real.num_rows(),
+                                    synth.num_rows()));
   return 0;
 }
 
-}  // namespace
-
-int cmd_version() {
+int cmd_version(const Args& /*args*/) {
   namespace simd = linalg::simd;
   std::string available;
   for (const simd::Backend b : simd::available_backends()) {
@@ -1176,12 +972,163 @@ int cmd_version() {
   return 0;
 }
 
+/// One command: its handler and its usage lines. The lines are what
+/// `surro_cli` prints and the whole set of flags the command accepts.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* usage;
+};
+
+const Command kCommands[] = {
+    {"version", cmd_version, "print version and active SIMD backend"},
+    {"models", cmd_models, "list registered surrogate models"},
+    {"generate", cmd_generate, "--days D --rate R --seed S --out FILE"},
+    {"profile", cmd_profile, "--data FILE"},
+    {"synthesize", cmd_synthesize,
+     "--data FILE --model KEY\n"
+     "--rows N --epochs E --seed S --threads T --chunk-rows C\n"
+     "--out FILE [--verbose]"},
+    {"save-model", cmd_save_model,
+     "--data FILE --model KEY\n"
+     "--epochs E --seed S --out FILE [--verbose]"},
+    {"sample-model", cmd_sample_model,
+     "--model-file FILE --rows N --seed S --threads T\n"
+     "--chunk-rows C --out FILE [--verbose]"},
+    {"evaluate", cmd_evaluate, "--real FILE --synth FILE"},
+    {"simulate", cmd_simulate,
+     "--data FILE --policy {random|locality|least|hybrid}\n"
+     "--capacity-scale C"},
+    {"twin", cmd_twin,
+     "--data FILE | --days D --rate R\n"
+     "--model KEY --rows N --epochs E --seed S --chunk-rows C\n"
+     "--policies \"random,locality,least-loaded,hybrid[:T]\"\n"
+     "--scenarios \"none,outage,burst,storm\"\n"
+     "--drifts \"none,mean_shift,...\" --intensity I --drift-intensity I\n"
+     "--outage-sites K --capacity-scale C --threads T\n"
+     "--bridge-seed S --sim-seed S\n"
+     "--json-out FILE [--serial] [--via-service] [--verbose]"},
+    {"matrix", cmd_matrix,
+     "--axes \"days=D1,D2;anomaly=F1,F2;rows=N1,N2;models=K1,K2\"\n"
+     "--json-out FILE --threads T --epochs E --seed S\n"
+     "[--serial-score] [--verbose]"},
+    {"stream", cmd_stream,
+     "--axes \"stride=S1,S2;drift=none,mean_shift;refresh=cold,warm;"
+     "models=K1,K2\"\n"
+     "--window W --days D --rows N --intensity I\n"
+     "--json-out FILE --threads T --epochs E --seed S\n"
+     "[--score-dcr] [--serial-score] [--verbose]"},
+    {"serve", cmd_serve,
+     "--models \"K1=FILE;K2=FILE\" | --models-dir DIR\n"
+     "--script FILE.jsonl | --requests \"model=K,rows=N,seed=S,repeat=R;...\"\n"
+     "--clients C --rounds R --capacity N --threads T\n"
+     "--chunk-rows C\n"
+     "--admission {block|reject|shed} --max-queue D\n"
+     "--max-queued-rows R --json-out FILE [--verbose]\n"
+     "[--shards N] [--replicas R] [--shard-ttl-ms MS]\n"
+     "[--remote-shards HOST:PORT,...]\n"
+     "HTTP mode: --listen PORT (0 = ephemeral) [--port-file FILE]\n"
+     "[--api-keys-file FILE] [--quota-rps R] [--quota-burst B]\n"
+     "[--max-body-bytes N] [--page-rows N] [--http-workers T]\n"
+     "[--serve-seconds S] [--self-probe [--rows N] [--seed S]]\n"
+     "Worker mode: --worker [--port-file FILE]\n"
+     "(single-shard HTTP leaf on an ephemeral port;\n"
+     "SIGTERM drains in-flight jobs and exits 0)"},
+    {"request", cmd_request,
+     "--connect HOST:PORT --path /v1/... [--method M]\n"
+     "[--body JSON | --body-file FILE] [--key APIKEY]\n"
+     "[--expect-status CODE] [--max-time S]"},
+    {"soak", cmd_soak,
+     "--models \"K1=FILE;K2=FILE\" | --models-dir DIR\n"
+     "--load \"0.5,1,2,4\" --clients C --rows N\n"
+     "--duration SECONDS --streams K --deadline-ms D\n"
+     "--admission {block|reject|shed} --max-queue D\n"
+     "--max-queued-rows R --capacity N --threads T\n"
+     "--chunk-rows C --seed S\n"
+     "--json-out FILE [--verbose] [--over-socket]\n"
+     "[--shards N] [--replicas R] [--shard-ttl-ms MS]\n"
+     "[--remote-shards HOST:PORT,...]"},
+    {"fleet", cmd_fleet,
+     "--workers N --models \"K1=FILE;...\" | --models-dir DIR\n"
+     "[--local-shards N] [--replicas R] [--rows N]\n"
+     "[--seed S] [--chunk-rows C] [--capacity N] [--cli PATH]\n"
+     "[--ready-timeout S] [--serve-seconds S] [--shutdown-timeout S]\n"
+     "(spawn N worker processes, probe mixed-pool\n"
+     "determinism vs in-process, tear down gracefully)"},
+};
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: surro_cli <command> [--key value ...] [--flag]\n"
+               "global: every command accepts --simd "
+               "{auto|scalar|avx2|neon} to pin\n"
+               "        the kernel backend (same names as SURRO_SIMD env "
+               "var;\n"
+               "        see docs/PERFORMANCE.md)\n");
+  for (const Command& command : kCommands) {
+    std::string_view name = command.name;
+    for (const auto line : util::split(command.usage, '\n')) {
+      std::fprintf(stderr, "  %-12.*s %.*s\n", static_cast<int>(name.size()),
+                   name.data(), static_cast<int>(line.size()), line.data());
+      name = "";
+    }
+  }
+  std::fprintf(stderr, "KEY: %s\n", model_list().c_str());
+  return 2;
+}
+
+/// True when `usage` names `--flag` as a whole token.
+bool declares(std::string_view usage, const std::string& flag) {
+  const std::string token = "--" + flag;
+  for (auto at = usage.find(token); at != std::string_view::npos;
+       at = usage.find(token, at + 1)) {
+    const std::size_t end = at + token.size();
+    if (end == usage.size() ||
+        (std::isalnum(static_cast<unsigned char>(usage[end])) == 0 &&
+         usage[end] != '-')) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The --flags after the command word, each checked against its usage.
+Args parse_args(int argc, char** argv, const Command& command) {
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const std::string key = argv[i] + 2;
+    if (key != "simd" && !declares(command.usage, key)) {
+      throw std::invalid_argument(std::string(command.name) +
+                                  " takes no --" + key +
+                                  " (run surro_cli alone for every "
+                                  "command's flags)");
+    }
+    // A flag is boolean when it is the last token or the next token is
+    // itself a --flag; otherwise it consumes the next token as its value.
+    // (Values may start with a single '-': negative numbers still work.)
+    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+      args.kv[key] = argv[i + 1];
+      ++i;
+    } else {
+      args.bare.insert(key);
+    }
+  }
+  return args;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
   g_argv0 = argv[0];
-  const std::string cmd = argv[1];
-  const Args args = parse_args(argc, argv, 2);
+  std::string name = argc < 2 ? "" : argv[1];
+  if (name == "--version") name = "version";
+  const auto* command = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&name](const Command& c) { return name == c.name; });
+  if (command == std::end(kCommands)) return usage();
   try {
+    const Args args = parse_args(argc, argv, *command);
     // Global backend pin — same names as SURRO_SIMD, applied before any
     // kernel runs. A CLI flag (not an env prefix) so docs examples can
     // exercise it portably.
@@ -1189,25 +1136,9 @@ int main(int argc, char** argv) {
       linalg::simd::force_backend(
           linalg::simd::parse_backend(args.get("simd")));
     }
-    if (cmd == "version" || cmd == "--version") return cmd_version();
-    if (cmd == "models") return cmd_models(args);
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "profile") return cmd_profile(args);
-    if (cmd == "synthesize") return cmd_synthesize(args);
-    if (cmd == "save-model") return cmd_save_model(args);
-    if (cmd == "sample-model") return cmd_sample_model(args);
-    if (cmd == "evaluate") return cmd_evaluate(args);
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "twin") return cmd_twin(args);
-    if (cmd == "matrix") return cmd_matrix(args);
-    if (cmd == "stream") return cmd_stream(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "request") return cmd_request(args);
-    if (cmd == "soak") return cmd_soak(args);
-    if (cmd == "fleet") return cmd_fleet(args);
+    return command->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
